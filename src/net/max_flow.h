@@ -9,9 +9,9 @@ namespace owan::net {
 
 // Dinic's maximum-flow algorithm over a directed flow network.
 //
-// Used as a reference oracle in tests (e.g. checking that the energy
-// function never exceeds the min-cut between a source and sink) and by the
-// Amoeba baseline's admission check.
+// Used only as a reference oracle in tests (e.g. checking that the energy
+// function never exceeds the min-cut between a source and sink); no
+// production code path calls it.
 class MaxFlow {
  public:
   explicit MaxFlow(int num_nodes);

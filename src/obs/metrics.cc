@@ -177,6 +177,9 @@ double HistogramSnapshot::Percentile(double pct) const {
     seen += n;
     if (seen >= target) {
       const double lo = Histogram::BucketLowerBound(index);
+      // Bucket 0 holds zeros, negatives and underflow: its midpoint (2^-31)
+      // would report a run of exact zeros as a tiny positive value.
+      if (index == 0) return std::clamp(lo, min, max);
       const double hi = Histogram::BucketUpperBound(index);
       return std::clamp(0.5 * (lo + hi), min, max);
     }

@@ -7,10 +7,12 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "control/checkpoint_io.h"
+#include "fault/fault_injector.h"
 #include "obs/obs.h"
-#include "sim/progress.h"
+#include "update/update_plan.h"
 
 namespace owan::service {
 
@@ -35,13 +37,70 @@ size_t Log2Bucket(size_t depth) {
   return b;
 }
 
+ServiceOptions BatchOptions(const sim::SimOptions& sim) {
+  ServiceOptions o;
+  o.slot_seconds = sim.slot_seconds;
+  o.reconfig_penalty_s = sim.reconfig_penalty_s;
+  o.max_time_s = sim.max_time_s;
+  o.mode = ServiceMode::kPassthrough;
+  o.retain_records = false;
+  return o;
+}
+
+// While the controller is down the data plane keeps forwarding the last
+// installed rates, but a plant fault can physically shrink the topology
+// underneath them. Drop paths riding links that no longer exist, then scale
+// the survivors so no shrunken link is oversubscribed (each path takes the
+// worst cap/aggregate ratio across its links — one pass suffices because
+// every contribution to a link shrinks by at least that link's ratio).
+void PruneFrozenAllocations(std::map<int, core::TransferAllocation>& frozen,
+                            const core::Topology& topology, double theta) {
+  for (auto& [id, alloc] : frozen) {
+    std::vector<core::PathAllocation> kept;
+    kept.reserve(alloc.paths.size());
+    for (core::PathAllocation& pa : alloc.paths) {
+      bool alive = true;
+      for (size_t i = 0; i + 1 < pa.path.nodes.size(); ++i) {
+        if (topology.Units(pa.path.nodes[i], pa.path.nodes[i + 1]) <= 0) {
+          alive = false;
+          break;
+        }
+      }
+      if (alive) kept.push_back(std::move(pa));
+    }
+    alloc.paths = std::move(kept);
+  }
+  std::map<sim::LinkKey, double> link_rate;
+  for (const auto& [id, alloc] : frozen) {
+    for (const core::PathAllocation& pa : alloc.paths) {
+      for (size_t i = 0; i + 1 < pa.path.nodes.size(); ++i) {
+        link_rate[sim::MakeLinkKey(pa.path.nodes[i], pa.path.nodes[i + 1])] +=
+            pa.rate;
+      }
+    }
+  }
+  for (auto& [id, alloc] : frozen) {
+    for (core::PathAllocation& pa : alloc.paths) {
+      double scale = 1.0;
+      for (size_t i = 0; i + 1 < pa.path.nodes.size(); ++i) {
+        const sim::LinkKey k =
+            sim::MakeLinkKey(pa.path.nodes[i], pa.path.nodes[i + 1]);
+        const double cap = topology.Units(k.first, k.second) * theta;
+        const double sum = link_rate[k];
+        if (sum > cap && sum > 0.0) scale = std::min(scale, cap / sum);
+      }
+      pa.rate *= scale;
+    }
+  }
+}
+
 }  // namespace
 
 ControllerService::ControllerService(const topo::Wan* wan,
-                                     std::unique_ptr<core::TeScheme> scheme,
+                                     core::TeScheme* scheme,
                                      ServiceOptions options)
     : wan_(wan),
-      scheme_(std::move(scheme)),
+      scheme_(scheme),
       options_(options),
       topology_(wan->default_topology),
       admission_(wan->default_topology.ToGraph(
@@ -51,12 +110,33 @@ ControllerService::ControllerService(const topo::Wan* wan,
                    a.slot_seconds = options.slot_seconds;
                    return a;
                  }()) {
-  if (!scheme_) throw std::invalid_argument("ControllerService: null scheme");
-  if (options_.num_shards < 1) {
-    throw std::invalid_argument("ControllerService: num_shards < 1");
+  if (scheme_ == nullptr) {
+    throw std::invalid_argument("ControllerService: null scheme");
   }
   options_.admission.slot_seconds = options_.slot_seconds;
-  shards_.resize(static_cast<size_t>(options_.num_shards));
+}
+
+ControllerService::ControllerService(const topo::Wan* wan,
+                                     std::unique_ptr<core::TeScheme> scheme,
+                                     ServiceOptions options)
+    : ControllerService(wan, scheme.get(), options) {
+  owned_scheme_ = std::move(scheme);
+  sim_.check_invariants = false;
+}
+
+ControllerService::ControllerService(const topo::Wan* wan,
+                                     core::TeScheme& scheme,
+                                     const std::vector<core::Request>& requests,
+                                     const sim::SimOptions& sim)
+    : ControllerService(wan, &scheme, BatchOptions(sim)) {
+  sim_ = sim;
+  sim_.faults.Normalize();
+  batch_ = true;
+  result_.transfers.resize(requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    result_.transfers[i].request = requests[i];
+    queued_.emplace_back(static_cast<int>(i), requests[i]);
+  }
 }
 
 void ControllerService::AttachStream(const workload::StreamParams& params,
@@ -73,17 +153,16 @@ void ControllerService::Submit(const core::Request& r) {
   if (r.src == r.dst || r.size <= 0.0 || r.id < 0) {
     throw std::invalid_argument("ControllerService::Submit: bad request");
   }
-  if (!queued_.empty() && r.arrival < queued_.back().arrival) {
+  if (!queued_.empty() && r.arrival < queued_.back().second.arrival) {
     throw std::invalid_argument(
         "ControllerService::Submit: arrivals must be non-decreasing");
   }
-  queued_.push_back(r);
+  queued_.emplace_back(r.id, r);
 }
 
-ControllerService::Record* ControllerService::FindRecord(int id) {
-  auto& records = ShardFor(id).records;
-  auto it = records.find(id);
-  return it == records.end() ? nullptr : &it->second;
+ControllerService::Record* ControllerService::FindRecord(int key) {
+  auto it = records_.find(key);
+  return it == records_.end() ? nullptr : &it->second;
 }
 
 void ControllerService::FinalizeDecision(Record& rec, Verdict v,
@@ -109,39 +188,45 @@ void ControllerService::FinalizeDecision(Record& rec, Verdict v,
   Mix(fp_acc_, Bits(decision_time));
 }
 
-void ControllerService::FinalizeCompletion(int id, Record& rec) {
+void ControllerService::FinalizeCompletion(int key, Record& rec) {
   ++stats_.completed;
   stats_.makespan = std::max(stats_.makespan, rec.completed_at);
-  OWAN_COUNT("service.transfers_completed");
-  Mix(fp_acc_, static_cast<uint64_t>(id));
+  OWAN_COUNT("sim.transfers_completed");
+  Mix(fp_acc_, static_cast<uint64_t>(rec.request.id));
   Mix(fp_acc_, Bits(rec.completed_at));
   Mix(fp_acc_, Bits(rec.delivered));
-  frozen_.erase(id);
-  if (!options_.retain_records) ShardFor(id).records.erase(id);
+  if (options_.mode == ServiceMode::kOnline) {
+    // Online the booking and the frozen rates free up at once. Passthrough
+    // keeps the rates until the next recompute, so a pruning during a
+    // controller outage still counts them.
+    admission_.Release(rec.request.id, now_);
+    frozen_.erase(rec.request.id);
+  }
+  if (batch_) result_.transfers[static_cast<size_t>(key)] = Outcome(rec);
+  if (!options_.retain_records) records_.erase(key);
 }
 
-void ControllerService::DecideAndActivate(const core::Request& r,
+void ControllerService::DecideAndActivate(int key, const core::Request& r,
                                           double decision_time) {
   Record rec;
   rec.request = r;
   rec.remaining = r.size;
-  auto [it, inserted] = ShardFor(r.id).records.emplace(r.id, std::move(rec));
+  auto [it, inserted] = records_.emplace(key, std::move(rec));
   if (!inserted) {
     throw std::invalid_argument("ControllerService: duplicate request id " +
                                 std::to_string(r.id));
   }
-  if (options_.retain_records) submission_order_.push_back(r.id);
+  if (options_.retain_records) submission_order_.push_back(key);
   Record& stored = it->second;
 
   if (options_.mode == ServiceMode::kPassthrough) {
-    // Batch parity: the scheme's own Admit hook decides, and — exactly like
-    // sim::RunSimulation — even rejected requests activate (Amoeba serves
-    // them best-effort with leftover capacity).
+    // The scheme's own Admit hook decides, and even rejected requests
+    // activate (Amoeba serves them best-effort with leftover capacity).
     const bool ok = scheme_->Admit(r, decision_time);
     FinalizeDecision(stored, ok ? Verdict::kAdmitted : Verdict::kRejected,
                      decision_time);
-    active_order_.push_back(r.id);
-    ShardFor(r.id).demand_added += r.size;
+    active_order_.push_back(key);
+    demand_added_ += r.size;
     return;
   }
 
@@ -149,18 +234,18 @@ void ControllerService::DecideAndActivate(const core::Request& r,
   switch (a) {
     case Admission::kAdmitted:
       FinalizeDecision(stored, Verdict::kAdmitted, decision_time);
-      active_order_.push_back(r.id);
-      ShardFor(r.id).demand_added += r.size;
+      active_order_.push_back(key);
+      demand_added_ += r.size;
       break;
     case Admission::kPending:
       stored.verdict = Verdict::kPending;
-      pending_.push_back(r.id);
+      pending_.push_back(key);
       ++stats_.pending_enqueued;
       OWAN_COUNT("service.pending_enqueued");
       break;
     case Admission::kRejected:
       FinalizeDecision(stored, Verdict::kRejected, decision_time);
-      if (!options_.retain_records) ShardFor(r.id).records.erase(r.id);
+      if (!options_.retain_records) records_.erase(key);
       break;
   }
 }
@@ -173,30 +258,31 @@ void ControllerService::IngestArrivals() {
 
     bool from_stream;
     if (stream_has && queue_has) {
-      from_stream = stream_->Peek().arrival <= queued_.front().arrival;
+      from_stream = stream_->Peek().arrival <= queued_.front().second.arrival;
     } else {
       from_stream = stream_has;
     }
-    const double arrival =
-        from_stream ? stream_->Peek().arrival : queued_.front().arrival;
+    const double arrival = from_stream ? stream_->Peek().arrival
+                                       : queued_.front().second.arrival;
     if (arrival > now_ + 1e-9) return;
 
+    int key;
     core::Request r;
     if (from_stream) {
       r = stream_->Next();
+      key = r.id;
       ++stream_consumed_;
     } else {
-      r = queued_.front();
+      std::tie(key, r) = queued_.front();
       queued_.pop_front();
     }
     ++stats_.requests;
     OWAN_COUNT("service.requests");
     // Online decisions happen at the request's own arrival timestamp on the
-    // virtual clock; passthrough decides at the slot boundary, exactly when
-    // the batch simulator calls Admit.
+    // virtual clock; passthrough decides at the slot boundary.
     const double decision_time =
         options_.mode == ServiceMode::kOnline ? r.arrival : now_;
-    DecideAndActivate(r, decision_time);
+    DecideAndActivate(key, r, decision_time);
   }
 }
 
@@ -222,7 +308,7 @@ void ControllerService::ExpireAndRetryPending() {
       FinalizeDecision(*rec, Verdict::kRejected, now_);
       ++stats_.pending_rejected;
       OWAN_COUNT("service.pending_rejected");
-      if (!options_.retain_records) ShardFor(id).records.erase(id);
+      if (!options_.retain_records) records_.erase(id);
     } else {
       keep.push_back(id);
     }
@@ -243,11 +329,11 @@ void ControllerService::ExpireAndRetryPending() {
         ++stats_.pending_admitted;
         OWAN_COUNT("service.pending_admitted");
         active_order_.push_back(id);
-        ShardFor(id).demand_added += rec->request.size;
+        demand_added_ += rec->request.size;
       } else if (a == Admission::kRejected) {
         FinalizeDecision(*rec, Verdict::kRejected, now_);
         ++stats_.pending_rejected;
-        if (!options_.retain_records) ShardFor(id).records.erase(id);
+        if (!options_.retain_records) records_.erase(id);
       } else {
         still.push_back(id);
       }
@@ -265,11 +351,8 @@ bool ControllerService::ShouldRecompute() const {
       static_cast<int64_t>(options_.max_stale_slots)) {
     return true;
   }
-  double added = 0.0;
-  for (const Shard& s : shards_) added += s.demand_added;
-  return added >
-         options_.recompute_demand_frac *
-             std::max(last_recompute_demand_, 1e-9);
+  return demand_added_ > options_.recompute_demand_frac *
+                             std::max(last_recompute_demand_, 1e-9);
 }
 
 void ControllerService::RecordQueueDepth() {
@@ -278,20 +361,181 @@ void ControllerService::RecordQueueDepth() {
              static_cast<double>(pending_.size()));
 }
 
+void ControllerService::CloseRecovery(double at) {
+  result_.recovery_seconds.push_back(at - recover_start_);
+  OWAN_HISTO("sim.recovery_seconds", ::owan::obs::Unit::kSimSeconds,
+             at - recover_start_);
+  recovering_ = false;
+}
+
+void ControllerService::AddViolations(const std::vector<std::string>& v) {
+  OWAN_COUNT_N("sim.invariant_violations", ::owan::obs::Unit::kOps, v.size());
+  result_.invariant_violations.insert(result_.invariant_violations.end(),
+                                     v.begin(), v.end());
+}
+
+void ControllerService::ApplyDueFaults() {
+  // The plant shrinks immediately; the topology recomputes on whatever
+  // survives (with dark-port repair only if a controller is alive to do
+  // it — §3.4).
+  const std::vector<fault::FaultEvent>& events = sim_.faults.events;
+  bool any_event = false;
+  bool plant_changed = false;
+  while (next_fault_ < events.size() &&
+         events[next_fault_].time <= now_ + 1e-9) {
+    const fault::FaultEvent& e = events[next_fault_++];
+    ++result_.fault_events;
+    OWAN_COUNT("sim.fault_events");
+    OWAN_INSTANT("sim", "fault.interrupt",
+                 ::owan::obs::TraceArg{"time", e.time},
+                 ::owan::obs::TraceArg{"type", static_cast<double>(e.type)});
+    any_event = true;
+    if (e.type == fault::FaultType::kControllerCrash) {
+      controller_up_ = false;
+    } else if (e.type == fault::FaultType::kControllerRecover) {
+      controller_up_ = true;
+    } else {
+      if (!plant_) {
+        plant_ = std::make_unique<optical::OpticalNetwork>(wan_->optical);
+      }
+      plant_changed |= fault::ApplyPlantEvent(e, *plant_);
+    }
+  }
+  if (plant_changed) {
+    topology_ = fault::RecomputeTopology(topology_, *plant_, controller_up_);
+    if (!controller_up_) {
+      PruneFrozenAllocations(frozen_, topology_, plant_->wavelength_capacity());
+    }
+  }
+  if (any_event && !recovering_ && !active_order_.empty()) {
+    recovering_ = true;
+    recover_start_ = now_;
+    recover_baseline_ = last_slot_rate_;
+  }
+}
+
+void ControllerService::ExecuteUpdate(const core::TeInput& input, double dur,
+                                      core::TeOutput& output,
+                                      std::set<sim::LinkKey>& changed) {
+  // The plan starts at the interval head. If a fault event truncates the
+  // interval before the update converges, the plant changed under the
+  // update and it safe-aborts (rollback to the pre-update state) before
+  // the next Step applies the fault.
+  const optical::OpticalNetwork& plant = this->plant();
+  update::ExecutorInput ein;
+  ein.from = topology_;
+  ein.plan = update::BuildUpdatePlan(topology_, *output.new_topology,
+                                     installed_, output.allocations);
+  ein.old_routes = installed_;
+  ein.new_routes = output.allocations;
+  ein.spare_ports.assign(static_cast<size_t>(plant.NumSites()), 0);
+  for (net::NodeId s = 0; s < plant.NumSites(); ++s) {
+    ein.spare_ports[static_cast<size_t>(s)] =
+        std::max(0, plant.UsablePorts(s) - topology_.PortsUsed(s));
+  }
+  update::ExecutorOptions eopts;
+  eopts.actuation = sim_.actuation;
+  eopts.retry = sim_.retry;
+  eopts.wave_size = sim_.update_wave_size;
+  eopts.theta = plant.wavelength_capacity();
+  update::UpdateExecutor ex(std::move(ein), eopts);
+  if (!ex.StepUntil(dur)) ex.RequestAbort();
+  update::ExecResult res = ex.Finish();
+  ++result_.updates_executed;
+  result_.update_retries += res.stats.retries;
+  result_.update_forced_ops += res.stats.forced_ops;
+  result_.update_exec_seconds += res.makespan;
+  for (const std::string& v : res.invariant_violations) {
+    result_.invariant_violations.push_back(
+        "update at t=" + std::to_string(now_) + ": " + v);
+  }
+  if (res.outcome == update::ExecOutcome::kConverged) {
+    changed = sim::ChangedLinks(topology_, res.final_topology);
+    stats_.topology_changes += topology_.DistanceTo(res.final_topology);
+    topology_ = res.final_topology;
+    // The realized routes (positional with this slot's allocations) are
+    // what the data plane actually carries.
+    output.allocations = res.final_routes;
+    return;
+  }
+  ++result_.update_aborts;
+  OWAN_COUNT("sim.update_aborts");
+  // Rolled back: the slot keeps the pre-update routes, matched to the live
+  // demand set by transfer id.
+  std::vector<core::TransferAllocation> reverted(input.demands.size());
+  for (size_t i = 0; i < input.demands.size(); ++i) {
+    reverted[i].id = input.demands[i].id;
+    for (const core::TransferAllocation& a : res.final_routes) {
+      if (a.id == input.demands[i].id) {
+        reverted[i] = a;
+        break;
+      }
+    }
+  }
+  output.allocations = std::move(reverted);
+}
+
+void ControllerService::Recompute(const core::TeInput& input, double dur,
+                                  double total_demand, core::TeOutput& output,
+                                  std::set<sim::LinkKey>& changed) {
+  OWAN_SPAN(span, "service", "recompute");
+  span.AddArg("active", static_cast<double>(input.demands.size()));
+  const auto t0 = std::chrono::steady_clock::now();
+  output = scheme_->Compute(input);
+  const double compute_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  stats_.compute_seconds += compute_s;
+  OWAN_HISTO("sim.compute_seconds", ::owan::obs::Unit::kSeconds, compute_s);
+  if (output.new_topology && !(*output.new_topology == topology_)) {
+    if (sim_.execute_updates) {
+      ExecuteUpdate(input, dur, output, changed);
+    } else {
+      changed = sim::ChangedLinks(topology_, *output.new_topology);
+      stats_.topology_changes += topology_.DistanceTo(*output.new_topology);
+      topology_ = *output.new_topology;
+    }
+  }
+  if (sim_.execute_updates) installed_ = output.allocations;
+  frozen_.clear();
+  for (size_t i = 0;
+       i < output.allocations.size() && i < input.demands.size(); ++i) {
+    frozen_[input.demands[i].id] = output.allocations[i];
+  }
+  ++stats_.recomputes;
+  OWAN_COUNT("service.recomputes");
+  last_recompute_slot_ = static_cast<int64_t>(
+      std::floor((now_ + 1e-9) / options_.slot_seconds));
+  last_recompute_demand_ = total_demand;
+  demand_added_ = 0.0;
+  force_recompute_ = false;
+}
+
 void ControllerService::ProgressSlot() {
-  const double dur = options_.slot_seconds;
+  OWAN_SPAN(slot_span, "sim", "slot");
+  slot_span.AddArg("now", now_);
+  slot_span.AddArg("active", static_cast<double>(active_order_.size()));
+
+  // The interval runs to the slot boundary unless a fault event lands
+  // first — then it ends early, delivered bytes pro-rate over the truncated
+  // interval, and the next Step recomputes.
+  double dur = options_.slot_seconds;
+  if (next_fault_ < sim_.faults.events.size()) {
+    const double te = sim_.faults.events[next_fault_].time;
+    if (te < now_ + dur - 1e-9) dur = te - now_;
+  }
 
   core::TeInput input;
   input.topology = &topology_;
-  input.optical = &wan_->optical;
+  input.optical = &plant();
   input.slot_seconds = options_.slot_seconds;
   input.now = now_;
   input.demands.reserve(active_order_.size());
   double total_demand = 0.0;
-  for (int id : active_order_) {
-    const Record* rec = FindRecord(id);
+  for (int key : active_order_) {
+    const Record* rec = FindRecord(key);
     core::TransferDemand d;
-    d.id = id;
+    d.id = rec->request.id;
     d.src = rec->request.src;
     d.dst = rec->request.dst;
     d.remaining = rec->remaining;
@@ -302,47 +546,21 @@ void ControllerService::ProgressSlot() {
     total_demand += rec->remaining;
   }
 
-  const bool recompute =
-      options_.mode == ServiceMode::kPassthrough || ShouldRecompute();
   core::TeOutput output;
   std::set<sim::LinkKey> changed;
-  if (recompute) {
-    OWAN_SPAN(span, "service", "recompute");
-    span.AddArg("active", static_cast<double>(active_order_.size()));
-    const auto t0 = std::chrono::steady_clock::now();
-    output = scheme_->Compute(input);
-    const double compute_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    stats_.compute_seconds += compute_s;
-    OWAN_HISTO("service.compute_seconds", ::owan::obs::Unit::kSeconds,
-               compute_s);
-    frozen_.clear();
-    for (size_t i = 0;
-         i < output.allocations.size() && i < input.demands.size(); ++i) {
-      frozen_[input.demands[i].id] = output.allocations[i];
-    }
-    if (output.new_topology && !(*output.new_topology == topology_)) {
-      changed = sim::ChangedLinks(topology_, *output.new_topology);
-      stats_.topology_changes += topology_.DistanceTo(*output.new_topology);
-      topology_ = *output.new_topology;
-    }
-    ++stats_.recomputes;
-    OWAN_COUNT("service.recomputes");
-    last_recompute_slot_ = static_cast<int64_t>(
-        std::floor((now_ + 1e-9) / options_.slot_seconds));
-    last_recompute_demand_ = total_demand;
-    for (Shard& s : shards_) s.demand_added = 0.0;
-    force_recompute_ = false;
+  if (controller_up_ &&
+      (options_.mode == ServiceMode::kPassthrough || ShouldRecompute())) {
+    Recompute(input, dur, total_demand, output, changed);
   } else {
-    // Coast: the data plane keeps the last computed rates; transfers that
-    // arrived since then wait (their stall time is the price of staleness,
+    // Coast: the data plane keeps the last computed rates — between batched
+    // recomputes, or while the controller is down. Transfers that arrived
+    // since then wait (online, their stall time is the price of staleness,
     // bounded by max_stale_slots).
-    output.allocations.reserve(active_order_.size());
-    for (int id : active_order_) {
-      auto it = frozen_.find(id);
+    output.allocations.reserve(input.demands.size());
+    for (const core::TransferDemand& d : input.demands) {
+      auto it = frozen_.find(d.id);
       core::TransferAllocation a;
-      a.id = id;
+      a.id = d.id;
       if (it != frozen_.end()) a = it->second;
       output.allocations.push_back(std::move(a));
     }
@@ -351,22 +569,37 @@ void ControllerService::ProgressSlot() {
   }
 
   ++stats_.slots;
+  OWAN_COUNT("sim.slots");
   double slot_rate = 0.0;
   for (const core::TransferAllocation& a : output.allocations) {
     slot_rate += a.TotalRate();
   }
   stats_.slot_throughput.emplace_back(now_, slot_rate);
-  OWAN_HISTO("service.slot_rate_gbps", ::owan::obs::Unit::kGigabits,
-             slot_rate);
+  OWAN_HISTO("sim.slot_rate_gbps", ::owan::obs::Unit::kGigabits, slot_rate);
+  if (recovering_ && slot_rate + 1e-9 >= recover_baseline_) {
+    CloseRecovery(now_);
+  }
+  last_slot_rate_ = slot_rate;
 
+  if (sim_.check_invariants) {
+    AddViolations(fault::InvariantChecker::CheckSlot(
+        topology_, plant(), input.demands, output.allocations));
+  }
+
+  // Named, so the conditional below stays an lvalue: with a temporary on
+  // one side it would copy every transfer's allocation.
+  static const core::TransferAllocation kNoAllocation;
+  const bool truncated = dur < options_.slot_seconds - 1e-9;
+  double slot_delivered = 0.0;
+  double slot_lost = 0.0;
   std::vector<int> still_active;
   still_active.reserve(active_order_.size());
   for (size_t ai = 0; ai < active_order_.size(); ++ai) {
-    const int id = active_order_[ai];
-    Record& rec = *FindRecord(id);
+    const int key = active_order_[ai];
+    Record& rec = *FindRecord(key);
     const core::TransferAllocation& alloc =
         ai < output.allocations.size() ? output.allocations[ai]
-                                       : core::TransferAllocation{};
+                                       : kNoAllocation;
     const sim::SlotProgress p = sim::ProgressTransfer(
         rec.request, rec.remaining, alloc, changed, now_, dur,
         options_.slot_seconds, options_.reconfig_penalty_s);
@@ -376,22 +609,37 @@ void ControllerService::ProgressSlot() {
     }
     rec.delivered += p.delivered;
     stats_.delivered_gigabits += p.delivered;
+    slot_delivered += p.delivered;
+    if (truncated) {
+      const double lost = std::max(
+          0.0, std::min(p.full_delivered, rec.remaining) - p.delivered);
+      result_.gigabits_lost_to_faults += lost;
+      slot_lost += lost;
+    }
+    if (sim_.check_invariants) {
+      AddViolations(checker_.ObserveTransfer(rec.request.id, rec.delivered,
+                                             rec.request.size));
+    }
 
     if (p.finishes) {
       rec.completed = true;
       rec.completed_at = p.completed_at;
-      if (options_.mode == ServiceMode::kOnline) {
-        admission_.Release(id, now_);
-      }
-      FinalizeCompletion(id, rec);
+      FinalizeCompletion(key, rec);
     } else {
       rec.remaining -= p.delivered;
       rec.slots_waited = p.delivered > 1e-9 ? 0 : rec.slots_waited + 1;
       if (p.total_rate <= 1e-9) rec.stalled_s += dur;
-      still_active.push_back(id);
+      still_active.push_back(key);
     }
   }
   active_order_ = std::move(still_active);
+  OWAN_HISTO("sim.delivered_gigabits", ::owan::obs::Unit::kGigabits,
+             slot_delivered);
+  if (truncated) {
+    OWAN_HISTO("sim.invalidated_gigabits", ::owan::obs::Unit::kGigabits,
+               slot_lost);
+  }
+  if (recovering_ && active_order_.empty()) CloseRecovery(now_ + dur);
   RecordQueueDepth();
   now_ += dur;
 }
@@ -399,27 +647,34 @@ void ControllerService::ProgressSlot() {
 bool ControllerService::Step() {
   if (now_ >= options_.max_time_s) return false;
 
+  ApplyDueFaults();
   ExpireAndRetryPending();
-  IngestArrivals();
+  // Admission is a controller action: arrivals queue while it is down.
+  if (controller_up_) IngestArrivals();
 
   if (active_order_.empty()) {
     const bool arrivals_left =
         (stream_ && stream_consumed_ < stream_limit_) || !queued_.empty();
-    if (!arrivals_left && pending_.empty()) return false;
-    // Jump to the slot containing the next arrival (same arithmetic as the
-    // batch simulator's idle fast-forward); with only pending requests
-    // left, step one slot at a time until their windows expire.
+    const bool faults_left = next_fault_ < sim_.faults.events.size();
+    if (!arrivals_left && !faults_left && pending_.empty()) return false;
+    // Jump to the slot containing the next arrival, but never past a
+    // pending fault event (a controller recovery may unblock admission);
+    // with only pending requests left, step one slot at a time until their
+    // windows expire.
     double target = now_ + options_.slot_seconds;
     if (arrivals_left) {
       const double arr = stream_ && stream_consumed_ < stream_limit_ &&
                                  (queued_.empty() ||
                                   stream_->Peek().arrival <=
-                                      queued_.front().arrival)
+                                      queued_.front().second.arrival)
                              ? stream_->Peek().arrival
-                             : queued_.front().arrival;
+                             : queued_.front().second.arrival;
       const double slots_ahead = std::floor(arr / options_.slot_seconds);
       target = std::max(now_ + options_.slot_seconds,
                         slots_ahead * options_.slot_seconds);
+    }
+    if (faults_left) {
+      target = std::min(target, sim_.faults.events[next_fault_].time);
     }
     now_ = target;
     return true;
@@ -433,6 +688,8 @@ void ControllerService::Run() {
   OWAN_SPAN(span, "service", "run");
   while (Step()) {
   }
+  // An episode still open when the loop stops closes at the final clock.
+  if (recovering_) CloseRecovery(now_);
 }
 
 void ControllerService::RunUntilIngested(uint64_t n) {
@@ -444,55 +701,70 @@ uint64_t ControllerService::Fingerprint() const {
   uint64_t acc = fp_acc_;
   Mix(acc, Bits(now_));
   Mix(acc, stats_.slots);
-  for (int id : active_order_) {
-    const auto& records =
-        shards_[static_cast<size_t>(id) % shards_.size()].records;
-    auto it = records.find(id);
-    Mix(acc, static_cast<uint64_t>(id));
-    Mix(acc, Bits(it->second.remaining));
+  for (int key : active_order_) {
+    const Record& rec = records_.at(key);
+    Mix(acc, static_cast<uint64_t>(rec.request.id));
+    Mix(acc, Bits(rec.remaining));
   }
   for (int id : pending_) Mix(acc, static_cast<uint64_t>(id));
   return acc;
 }
 
-sim::SimResult ControllerService::ToSimResult() const {
-  if (!options_.retain_records) {
-    throw std::logic_error(
-        "ControllerService::ToSimResult needs retain_records");
-  }
-  sim::SimResult result;
-  result.transfers.reserve(submission_order_.size());
-  result.makespan = stats_.makespan;
-  for (int id : submission_order_) {
-    const auto& records =
-        shards_[static_cast<size_t>(id) % shards_.size()].records;
-    const Record& rec = records.at(id);
-    sim::TransferRecord t;
-    t.request = rec.request;
-    t.admitted = rec.verdict == Verdict::kAdmitted;
-    t.completed = rec.completed;
-    t.completed_at = rec.completed_at;
-    t.delivered = rec.delivered;
-    t.delivered_by_deadline = rec.delivered_by_deadline;
-    t.stalled_s = rec.stalled_s;
-    if (!t.completed) {
-      // The batch simulator counts every unfinished-but-served transfer as
-      // completing at the cap. Online rejects/pendings never ran — they
-      // keep completed_at = -1.
-      const bool served = options_.mode == ServiceMode::kPassthrough ||
-                          rec.verdict == Verdict::kAdmitted;
-      if (served) {
-        t.completed_at = options_.max_time_s;
-        result.makespan = std::max(result.makespan, options_.max_time_s);
-      }
+sim::TransferRecord ControllerService::Outcome(const Record& rec) {
+  sim::TransferRecord t;
+  t.request = rec.request;
+  t.admitted = rec.verdict == Verdict::kAdmitted;
+  t.completed = rec.completed;
+  t.completed_at = rec.completed_at;
+  t.delivered = rec.delivered;
+  t.delivered_by_deadline = rec.delivered_by_deadline;
+  t.stalled_s = rec.stalled_s;
+  return t;
+}
+
+sim::SimResult ControllerService::ToSimResult() const& {
+  sim::SimResult result = result_;
+  FinishSimResult(result);
+  return result;
+}
+
+sim::SimResult ControllerService::ToSimResult() && {
+  sim::SimResult result = std::move(result_);
+  FinishSimResult(result);
+  return result;
+}
+
+void ControllerService::FinishSimResult(sim::SimResult& result) const {
+  if (batch_) {
+    // The records left are the transfers still active when the loop ended.
+    for (const auto& [key, rec] : records_) {
+      result.transfers[static_cast<size_t>(key)] = Outcome(rec);
     }
-    result.transfers.push_back(std::move(t));
+  } else {
+    if (!options_.retain_records) {
+      throw std::logic_error(
+          "ControllerService::ToSimResult needs retain_records");
+    }
+    result.transfers.reserve(submission_order_.size());
+    for (int key : submission_order_) {
+      result.transfers.push_back(Outcome(records_.at(key)));
+    }
+  }
+  result.makespan = stats_.makespan;
+  for (sim::TransferRecord& t : result.transfers) {
+    // Every unfinished transfer that was served (in passthrough, every
+    // one) counts as completing at the cap. Online rejects/pendings never
+    // ran — they keep completed_at = -1.
+    if (!t.completed &&
+        (options_.mode == ServiceMode::kPassthrough || t.admitted)) {
+      t.completed_at = options_.max_time_s;
+      result.makespan = std::max(result.makespan, options_.max_time_s);
+    }
   }
   result.slots = static_cast<int>(stats_.slots);
   result.topology_changes = static_cast<int>(stats_.topology_changes);
   result.compute_seconds = stats_.compute_seconds;
   result.slot_throughput = stats_.slot_throughput;
-  return result;
 }
 
 std::string ControllerService::Checkpoint() const {
@@ -515,9 +787,7 @@ std::string ControllerService::Checkpoint() const {
   os << "svc-qdepth";
   for (uint64_t v : stats_.queue_depth) os << " " << v;
   os << "\n";
-  double added = 0.0;
-  for (const Shard& s : shards_) added += s.demand_added;
-  os << "svc-clock " << last_recompute_slot_ << " " << added << " "
+  os << "svc-clock " << last_recompute_slot_ << " " << demand_added_ << " "
      << last_recompute_demand_ << " " << force_recompute_ << "\n";
   os << "fingerprint " << fp_acc_ << "\n";
   if (stream_) os << "stream " << stream_consumed_ << "\n";
@@ -525,7 +795,7 @@ std::string ControllerService::Checkpoint() const {
   for (const core::Link& l : topology_.Links()) {
     os << "slink " << l.u << " " << l.v << " " << l.units << "\n";
   }
-  for (const core::Request& r : queued_) {
+  for (const auto& [key, r] : queued_) {
     os << "qreq " << r.id << " " << r.src << " " << r.dst << " " << r.size
        << " " << r.arrival << " " << r.deadline << "\n";
   }
@@ -535,14 +805,11 @@ std::string ControllerService::Checkpoint() const {
   if (options_.retain_records) {
     rec_order = submission_order_;
   } else {
-    for (const Shard& s : shards_) {
-      for (const auto& [id, rec] : s.records) rec_order.push_back(id);
-    }
+    for (const auto& [id, rec] : records_) rec_order.push_back(id);
     std::sort(rec_order.begin(), rec_order.end());
   }
   for (int id : rec_order) {
-    const Record& rec =
-        shards_[static_cast<size_t>(id) % shards_.size()].records.at(id);
+    const Record& rec = records_.at(id);
     os << "rec " << id << " " << rec.request.src << " " << rec.request.dst
        << " " << rec.request.size << " " << rec.request.arrival << " "
        << rec.request.deadline << " " << static_cast<int>(rec.verdict) << " "
@@ -604,10 +871,8 @@ ControllerService ControllerService::Restore(
     } else if (tag == "svc-qdepth") {
       for (uint64_t& v : c.stats_.queue_depth) ls >> v;
     } else if (tag == "svc-clock") {
-      double added = 0.0;
-      ls >> c.last_recompute_slot_ >> added >> c.last_recompute_demand_ >>
-          c.force_recompute_;
-      if (!ls.fail()) c.shards_[0].demand_added = added;
+      ls >> c.last_recompute_slot_ >> c.demand_added_ >>
+          c.last_recompute_demand_ >> c.force_recompute_;
     } else if (tag == "fingerprint") {
       ls >> c.fp_acc_;
     } else if (tag == "stream") {
@@ -623,7 +888,7 @@ ControllerService ControllerService::Restore(
     } else if (tag == "qreq") {
       core::Request r;
       ls >> r.id >> r.src >> r.dst >> r.size >> r.arrival >> r.deadline;
-      if (!ls.fail()) c.queued_.push_back(r);
+      if (!ls.fail()) c.queued_.emplace_back(r.id, r);
     } else if (tag == "rec") {
       Record rec;
       int id = -1, verdict = 0;
@@ -635,7 +900,7 @@ ControllerService ControllerService::Restore(
       if (!ls.fail()) {
         rec.request.id = id;
         rec.verdict = static_cast<Verdict>(verdict);
-        c.ShardFor(id).records.emplace(id, std::move(rec));
+        c.records_.emplace(id, std::move(rec));
         if (c.options_.retain_records) c.submission_order_.push_back(id);
       }
     } else if (tag == "active") {

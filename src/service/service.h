@@ -7,13 +7,16 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "core/te_scheme.h"
 #include "core/topology.h"
+#include "fault/invariant_checker.h"
 #include "service/admission.h"
+#include "sim/progress.h"
 #include "sim/simulator.h"
 #include "topo/topologies.h"
 #include "workload/stream.h"
@@ -22,9 +25,9 @@ namespace owan::service {
 
 // How the service makes admission decisions and paces recomputes.
 enum class ServiceMode : uint8_t {
-  // Batch parity: every arrival is admitted via the TE scheme's own Admit
-  // hook at slot boundaries and every slot recomputes — the event loop then
-  // reproduces sim::RunSimulation bit-for-bit (the nominal-parity anchor).
+  // Batch semantics: every arrival is admitted via the TE scheme's own
+  // Admit hook at slot boundaries and every slot recomputes. This is the
+  // mode sim::RunSimulation runs the loop in.
   kPassthrough = 0,
   // Streaming: the AdmissionController gates deadline traffic at arrival
   // time, rejected-for-now requests wait in the pending queue, and the TE
@@ -37,10 +40,6 @@ struct ServiceOptions {
   double reconfig_penalty_s = 0.0;
   double max_time_s = 72.0 * 3600.0;
   ServiceMode mode = ServiceMode::kOnline;
-
-  // Per-transfer state is sharded by id — the staleness trigger reads only
-  // the per-shard demand aggregates, never the records themselves.
-  int num_shards = 8;
 
   AdmissionOptions admission;  // k_paths; slot_seconds is kept in sync
 
@@ -84,17 +83,21 @@ struct ServiceStats {
   // 0, 1, 2-3, 4-7, ... (bucket 15 = 16384+).
   std::array<uint64_t, 16> queue_depth{};
 
-  // Per-slot (start time, total allocated Gbps) — same series the batch
-  // simulator records.
+  // Per-slot (start time, total allocated Gbps); fault interrupts add
+  // sub-slot entries.
   std::vector<std::pair<double, double>> slot_throughput;
 };
 
-// The streaming controller service: a persistent event loop around a TE
-// scheme that consumes a request stream on a deterministic virtual clock,
-// gates arrivals through online admission control, aggregates admitted
-// demand across shards, and recomputes the TE state in batches instead of
-// every slot. Epoch snapshots ("owan-checkpoint v4") capture the entire
-// request-stream state so a crashed service resumes bit-identically.
+// The controller's slot loop: a persistent event loop around a TE scheme
+// on a deterministic virtual clock. Online, it consumes a request stream,
+// gates arrivals through admission control and recomputes the TE state in
+// batches instead of every slot; epoch snapshots ("owan-checkpoint v4")
+// capture the request-stream state so a crashed service resumes
+// bit-identically. In passthrough mode it is the batch simulator
+// (sim::RunSimulation), and then also owns a mutable plant: fault events
+// interrupt slots, a crashed controller leaves the data plane on frozen
+// rates, updates run through the update executor, and every interval is
+// checked against fault::InvariantChecker.
 //
 // No wall time enters any decision: arrivals, admissions, retries, and
 // recomputes are all keyed to the virtual clock, so two runs with the same
@@ -105,6 +108,17 @@ class ControllerService {
   ControllerService(const topo::Wan* wan,
                     std::unique_ptr<core::TeScheme> scheme,
                     ServiceOptions options = {});
+  // The batch simulator: passthrough mode driving the caller's scheme over
+  // `requests` exactly as given (ids may repeat, arrivals need not be
+  // sorted; a request is admitted once it and every request before it has
+  // arrived). `sim` supplies the slot timing plus the fault schedule,
+  // update execution and invariant-check settings, which no other
+  // constructor enables. `wan` must outlive the service; the plant is
+  // copied only when the first plant fault lands. Finished transfers go
+  // straight into the result ToSimResult() returns.
+  ControllerService(const topo::Wan* wan, core::TeScheme& scheme,
+                    const std::vector<core::Request>& requests,
+                    const sim::SimOptions& sim);
   ControllerService(ControllerService&&) = default;
 
   // Attaches the seeded arrival stream; the loop pulls requests lazily as
@@ -140,10 +154,11 @@ class ControllerService {
   // and across same-seed reruns.
   uint64_t Fingerprint() const;
 
-  // Rebuilds the batch simulator's result view (requires retain_records).
-  // In kPassthrough mode this is bit-identical to sim::RunSimulation on the
-  // same inputs.
-  sim::SimResult ToSimResult() const;
+  // The batch simulator's result view (requires retain_records, or the
+  // batch constructor). The rvalue overload hands the result over without
+  // copying it.
+  sim::SimResult ToSimResult() const&;
+  sim::SimResult ToSimResult() &&;
 
   // Force the next progressed slot to recompute (the fault-event trigger).
   void ForceRecompute() { force_recompute_ = true; }
@@ -176,55 +191,95 @@ class ControllerService {
     double completed_at = -1.0;
   };
 
-  struct Shard {
-    std::unordered_map<int, Record> records;
-    // Demand admitted into this shard since the last recompute — the only
-    // thing the staleness trigger reads.
-    double demand_added = 0.0;
-  };
+  ControllerService(const topo::Wan* wan, core::TeScheme* scheme,
+                    ServiceOptions options);
 
-  // One event-loop iteration (one slot, or one idle clock jump). Returns
-  // false when all attached work is drained.
+  // One event-loop iteration (one interval, or one idle clock jump).
+  // Returns false when all attached work is drained.
   bool Step();
+  void ApplyDueFaults();
   void IngestArrivals();
-  void DecideAndActivate(const core::Request& r, double decision_time);
+  void DecideAndActivate(int key, const core::Request& r,
+                         double decision_time);
   void ExpireAndRetryPending();
   void ProgressSlot();
+  void Recompute(const core::TeInput& input, double dur, double total_demand,
+                 core::TeOutput& output, std::set<sim::LinkKey>& changed);
+  void ExecuteUpdate(const core::TeInput& input, double dur,
+                     core::TeOutput& output, std::set<sim::LinkKey>& changed);
   bool ShouldRecompute() const;
   void FinalizeDecision(Record& rec, Verdict v, double decision_time);
-  void FinalizeCompletion(int id, Record& rec);
+  void FinalizeCompletion(int key, Record& rec);
   void RecordQueueDepth();
+  void CloseRecovery(double at);
+  void AddViolations(const std::vector<std::string>& v);
+  void FinishSimResult(sim::SimResult& result) const;
+  static sim::TransferRecord Outcome(const Record& rec);
 
-  Shard& ShardFor(int id) {
-    return shards_[static_cast<size_t>(id) % shards_.size()];
+  Record* FindRecord(int key);
+  const optical::OpticalNetwork& plant() const {
+    return plant_ ? *plant_ : wan_->optical;
   }
-  Record* FindRecord(int id);
 
   const topo::Wan* wan_;
-  std::unique_ptr<core::TeScheme> scheme_;
+  std::unique_ptr<core::TeScheme> owned_scheme_;
+  core::TeScheme* scheme_;
   ServiceOptions options_;
+  // Fault schedule, update execution and invariant checks; the slot timing
+  // lives in options_. Checks are off unless the batch constructor set them.
+  sim::SimOptions sim_;
 
   core::Topology topology_;
+  // The plant with faults applied: null (read wan_->optical) until the
+  // first plant fault.
+  std::unique_ptr<optical::OpticalNetwork> plant_;
   AdmissionController admission_;
-  std::vector<Shard> shards_;
+  // Per-transfer state by key: the request id, or for the batch
+  // constructor the request's index.
+  std::unordered_map<int, Record> records_;
+  // Demand admitted since the last recompute — the only thing the
+  // staleness trigger reads.
+  double demand_added_ = 0.0;
 
-  // Arrival sources: the optional seeded stream plus the explicit queue.
+  // Arrival sources: the optional seeded stream plus the explicit queue of
+  // (key, request).
   std::optional<workload::ArrivalStream> stream_;
   uint64_t stream_limit_ = 0;
   uint64_t stream_consumed_ = 0;
   // Cursor recovered from a v4 checkpoint before AttachStream is called.
   uint64_t stream_resume_cursor_ = 0;
-  std::deque<core::Request> queued_;
+  std::deque<std::pair<int, core::Request>> queued_;
 
   double now_ = 0.0;
   std::vector<int> active_order_;   // activation order — drives Compute
   std::deque<int> pending_;         // admission-pending, FIFO
-  std::map<int, core::TransferAllocation> frozen_;  // last computed rates
-  std::vector<int> submission_order_;  // all ids ever seen (retain only)
+  // Last computed rates by request id: what the data plane keeps
+  // forwarding between recomputes and while the controller is down.
+  std::map<int, core::TransferAllocation> frozen_;
+  std::vector<int> submission_order_;  // all keys ever seen (retain only)
 
   int64_t last_recompute_slot_ = -(1 << 30);
   double last_recompute_demand_ = 0.0;
   bool force_recompute_ = false;
+
+  // ---- the batch simulator's run (batch constructor only) ----
+  bool batch_ = false;
+  // Outcomes by input position, written as transfers finish (their records
+  // are dropped then), plus the fault, recovery, update and violation
+  // metrics of the run.
+  sim::SimResult result_;
+  size_t next_fault_ = 0;  // cursor into sim_.faults
+  bool controller_up_ = true;
+  // Routes in force on the plant: the old routes an executed update drains.
+  std::vector<core::TransferAllocation> installed_;
+  fault::InvariantChecker checker_;
+  // Recovery episode: opened when a fault batch lands on live transfers,
+  // closed when allocated rate regains its pre-fault level or the affected
+  // transfers drain.
+  bool recovering_ = false;
+  double recover_start_ = 0.0;
+  double recover_baseline_ = 0.0;
+  double last_slot_rate_ = 0.0;
 
   ServiceStats stats_;
   uint64_t fp_acc_ = 14695981039346656037ULL;  // FNV-1a offset basis

@@ -1,70 +1,11 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <map>
-#include <set>
+#include <utility>
 
-#include "core/provisioned_state.h"
-#include "core/repair.h"
-#include "fault/fault_injector.h"
-#include "fault/invariant_checker.h"
 #include "obs/obs.h"
-#include "sim/progress.h"
-#include "update/update_plan.h"
+#include "service/service.h"
 
 namespace owan::sim {
-
-namespace {
-
-// While the controller is down the data plane keeps forwarding the last
-// installed rates, but a plant fault can physically shrink the topology
-// underneath them. Drop paths riding links that no longer exist, then scale
-// the survivors so no shrunken link is oversubscribed (each path takes the
-// worst cap/aggregate ratio across its links — one pass suffices because
-// every contribution to a link shrinks by at least that link's ratio).
-void PruneFrozenAllocations(std::map<int, core::TransferAllocation>& frozen,
-                            const core::Topology& topology, double theta) {
-  for (auto& [id, alloc] : frozen) {
-    std::vector<core::PathAllocation> kept;
-    kept.reserve(alloc.paths.size());
-    for (core::PathAllocation& pa : alloc.paths) {
-      bool alive = true;
-      for (size_t i = 0; i + 1 < pa.path.nodes.size(); ++i) {
-        if (topology.Units(pa.path.nodes[i], pa.path.nodes[i + 1]) <= 0) {
-          alive = false;
-          break;
-        }
-      }
-      if (alive) kept.push_back(std::move(pa));
-    }
-    alloc.paths = std::move(kept);
-  }
-  std::map<LinkKey, double> link_rate;
-  for (const auto& [id, alloc] : frozen) {
-    for (const core::PathAllocation& pa : alloc.paths) {
-      for (size_t i = 0; i + 1 < pa.path.nodes.size(); ++i) {
-        link_rate[MakeLinkKey(pa.path.nodes[i], pa.path.nodes[i + 1])] += pa.rate;
-      }
-    }
-  }
-  for (auto& [id, alloc] : frozen) {
-    for (core::PathAllocation& pa : alloc.paths) {
-      double scale = 1.0;
-      for (size_t i = 0; i + 1 < pa.path.nodes.size(); ++i) {
-        const LinkKey k = MakeLinkKey(pa.path.nodes[i], pa.path.nodes[i + 1]);
-        const double cap =
-            topology.Units(k.first, k.second) * theta;
-        const double sum = link_rate[k];
-        if (sum > cap && sum > 0.0) scale = std::min(scale, cap / sum);
-      }
-      pa.rate *= scale;
-    }
-  }
-}
-
-}  // namespace
 
 double SimResult::MeanTimeToRecover() const {
   if (recovery_seconds.empty()) return 0.0;
@@ -102,355 +43,9 @@ SimResult RunSimulation(const topo::Wan& wan,
                         core::TeScheme& scheme, const SimOptions& options) {
   OWAN_SPAN(run_span, "sim", "run");
   run_span.AddArg("requests", static_cast<double>(requests.size()));
-  SimResult result;
-  result.transfers.reserve(requests.size());
-  for (const core::Request& r : requests) {
-    TransferRecord rec;
-    rec.request = r;
-    result.transfers.push_back(rec);
-  }
-
-  struct Active {
-    size_t index;       // into result.transfers
-    double remaining;   // gigabits
-    int slots_waited = 0;
-  };
-  std::vector<Active> active;
-  size_t next_arrival = 0;
-
-  core::Topology topology = wan.default_topology;
-  // Mutable plant view so injected faults can be applied.
-  optical::OpticalNetwork plant = wan.optical;
-  const double theta = plant.wavelength_capacity();
-
-  // One unified schedule: legacy fiber_failures fold in as cut events, and
-  // a cursor drains it (erasing from the front was quadratic).
-  fault::FaultSchedule schedule = options.faults;
-  for (const auto& [t, fiber] : options.fiber_failures) {
-    schedule.Add(fault::FaultEvent::FiberCut(t, fiber));
-  }
-  schedule.Normalize();
-  size_t next_event = 0;
-
-  bool controller_up = true;
-  // Last rates the controller installed, by transfer id — what the data
-  // plane keeps forwarding while the controller is down.
-  std::map<int, core::TransferAllocation> frozen;
-  // Routes actually in force on the plant — the executed-update path uses
-  // them as the old routes the next update plan must drain from.
-  std::vector<core::TransferAllocation> installed;
-
-  fault::InvariantChecker checker;
-
-  // Recovery episode: opened when a fault batch lands on live transfers,
-  // closed when allocated rate regains its pre-fault level or the affected
-  // transfers drain.
-  bool recovering = false;
-  double recover_start = 0.0;
-  double recover_baseline = 0.0;
-  double last_slot_rate = 0.0;
-
-  double now = 0.0;
-  while (now < options.max_time_s) {
-    // Apply due fault events: the plant shrinks immediately; the topology
-    // recomputes on whatever survives (with dark-port repair only if a
-    // controller is alive to do it — §3.4).
-    bool plant_changed = false;
-    bool any_event = false;
-    while (next_event < schedule.events.size() &&
-           schedule.events[next_event].time <= now + 1e-9) {
-      const fault::FaultEvent& e = schedule.events[next_event];
-      ++next_event;
-      ++result.fault_events;
-      OWAN_COUNT("sim.fault_events");
-      OWAN_INSTANT("sim", "fault.interrupt",
-                   ::owan::obs::TraceArg{"time", e.time},
-                   ::owan::obs::TraceArg{"type", static_cast<double>(e.type)});
-      any_event = true;
-      if (e.type == fault::FaultType::kControllerCrash) {
-        controller_up = false;
-      } else if (e.type == fault::FaultType::kControllerRecover) {
-        controller_up = true;
-      } else {
-        plant_changed |= fault::ApplyPlantEvent(e, plant);
-      }
-    }
-    if (plant_changed) {
-      topology = fault::RecomputeTopology(topology, plant, controller_up);
-      if (!controller_up) PruneFrozenAllocations(frozen, topology, theta);
-    }
-    if (any_event && !recovering && !active.empty()) {
-      recovering = true;
-      recover_start = now;
-      recover_baseline = last_slot_rate;
-    }
-
-    // Admit transfers that have arrived by the start of this interval.
-    // Admission is a controller action, so arrivals queue while it is down.
-    while (controller_up && next_arrival < requests.size() &&
-           requests[next_arrival].arrival <= now + 1e-9) {
-      const core::Request& r = requests[next_arrival];
-      TransferRecord& rec = result.transfers[next_arrival];
-      rec.admitted = scheme.Admit(r, now);
-      active.push_back(Active{next_arrival, r.size});
-      ++next_arrival;
-    }
-
-    if (active.empty()) {
-      const bool arrivals_left = next_arrival < requests.size();
-      const bool events_left = next_event < schedule.events.size();
-      if (!arrivals_left && !events_left) break;  // drained everything
-      // Jump to the slot containing the next arrival, but never past a
-      // pending fault event (a controller recovery may unblock admission).
-      double target = now + options.slot_seconds;
-      if (arrivals_left) {
-        const double arr = requests[next_arrival].arrival;
-        const double slots_ahead = std::floor(arr / options.slot_seconds);
-        target = std::max(now + options.slot_seconds,
-                          slots_ahead * options.slot_seconds);
-      }
-      if (events_left) {
-        target = std::min(target, schedule.events[next_event].time);
-      }
-      now = target;
-      continue;
-    }
-
-    OWAN_SPAN(slot_span, "sim", "slot");
-    slot_span.AddArg("now", now);
-    slot_span.AddArg("active", static_cast<double>(active.size()));
-
-    // The interval runs to the slot boundary unless a fault event lands
-    // first — then it ends early, delivered bytes pro-rate over the
-    // truncated interval, and the next loop iteration recomputes.
-    double dur = options.slot_seconds;
-    if (next_event < schedule.events.size()) {
-      const double te = schedule.events[next_event].time;
-      if (te < now + dur - 1e-9) dur = te - now;
-    }
-
-    // Build the controller's view (also the invariant checker's).
-    core::TeInput input;
-    input.topology = &topology;
-    input.optical = &plant;
-    input.slot_seconds = options.slot_seconds;
-    input.now = now;
-    input.demands.reserve(active.size());
-    for (const Active& a : active) {
-      const core::Request& r = result.transfers[a.index].request;
-      core::TransferDemand d;
-      d.id = r.id;
-      d.src = r.src;
-      d.dst = r.dst;
-      d.remaining = a.remaining;
-      d.rate_cap = a.remaining / options.slot_seconds;
-      d.deadline = r.deadline;
-      d.slots_waited = a.slots_waited;
-      input.demands.push_back(d);
-    }
-
-    core::TeOutput output;
-    if (controller_up) {
-      const auto compute_start = std::chrono::steady_clock::now();
-      output = scheme.Compute(input);
-      const double compute_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        compute_start)
-              .count();
-      result.compute_seconds += compute_s;
-      OWAN_HISTO("sim.compute_seconds", ::owan::obs::Unit::kSeconds,
-                 compute_s);
-      frozen.clear();
-      for (size_t i = 0;
-           i < output.allocations.size() && i < input.demands.size(); ++i) {
-        frozen[input.demands[i].id] = output.allocations[i];
-      }
-    } else {
-      // Controller down: the data plane keeps the last installed rates for
-      // transfers that still have them; everyone else waits.
-      output.allocations.reserve(active.size());
-      for (const Active& a : active) {
-        auto it = frozen.find(result.transfers[a.index].request.id);
-        output.allocations.push_back(it != frozen.end()
-                                         ? it->second
-                                         : core::TransferAllocation{});
-      }
-    }
-
-    // Apply topology change and its reconfiguration penalty.
-    std::set<LinkKey> changed;
-    if (output.new_topology && options.execute_updates && controller_up &&
-        !(*output.new_topology == topology)) {
-      // Actuate the reconfiguration through the update execution engine.
-      // The plan starts at the interval head; if a fault event truncates
-      // the interval before the update converges, the plant changed under
-      // the update and it safe-aborts (rollback to the pre-update state)
-      // before the fault is processed next iteration.
-      update::ExecutorInput ein;
-      ein.from = topology;
-      ein.plan = update::BuildUpdatePlan(topology, *output.new_topology,
-                                         installed, output.allocations);
-      ein.old_routes = installed;
-      ein.new_routes = output.allocations;
-      ein.spare_ports.assign(static_cast<size_t>(plant.NumSites()), 0);
-      for (net::NodeId s = 0; s < plant.NumSites(); ++s) {
-        ein.spare_ports[static_cast<size_t>(s)] =
-            std::max(0, plant.UsablePorts(s) - topology.PortsUsed(s));
-      }
-      update::ExecutorOptions eopts;
-      eopts.actuation = options.actuation;
-      eopts.retry = options.retry;
-      eopts.wave_size = options.update_wave_size;
-      eopts.theta = theta;
-      update::UpdateExecutor ex(std::move(ein), eopts);
-      if (!ex.StepUntil(dur)) ex.RequestAbort();
-      update::ExecResult res = ex.Finish();
-      ++result.updates_executed;
-      result.update_retries += res.stats.retries;
-      result.update_forced_ops += res.stats.forced_ops;
-      result.update_exec_seconds += res.makespan;
-      for (const std::string& v : res.invariant_violations) {
-        result.invariant_violations.push_back(
-            "update at t=" + std::to_string(now) + ": " + v);
-      }
-      if (res.outcome == update::ExecOutcome::kConverged) {
-        changed = ChangedLinks(topology, res.final_topology);
-        result.topology_changes += topology.DistanceTo(res.final_topology);
-        topology = res.final_topology;
-        // The realized routes (positional with this slot's allocations)
-        // are what the data plane actually carries.
-        output.allocations = res.final_routes;
-      } else {
-        ++result.update_aborts;
-        OWAN_COUNT("sim.update_aborts");
-        // Rolled back: the slot keeps the pre-update routes, matched to
-        // the live demand set by transfer id.
-        std::vector<core::TransferAllocation> reverted(input.demands.size());
-        for (size_t i = 0; i < input.demands.size(); ++i) {
-          reverted[i].id = input.demands[i].id;
-          for (const core::TransferAllocation& a : res.final_routes) {
-            if (a.id == input.demands[i].id) {
-              reverted[i] = a;
-              break;
-            }
-          }
-        }
-        output.allocations = std::move(reverted);
-      }
-      // Refresh the data plane's frozen view with the realized rates.
-      frozen.clear();
-      for (size_t i = 0;
-           i < output.allocations.size() && i < input.demands.size(); ++i) {
-        frozen[input.demands[i].id] = output.allocations[i];
-      }
-    } else if (output.new_topology) {
-      changed = ChangedLinks(topology, *output.new_topology);
-      result.topology_changes += topology.DistanceTo(*output.new_topology);
-      topology = *output.new_topology;
-    }
-    if (controller_up) installed = output.allocations;
-
-    // Progress transfers.
-    ++result.slots;
-    OWAN_COUNT("sim.slots");
-    double slot_rate = 0.0;
-    for (const core::TransferAllocation& a : output.allocations) {
-      slot_rate += a.TotalRate();
-    }
-    result.slot_throughput.emplace_back(now, slot_rate);
-    OWAN_HISTO("sim.slot_rate_gbps", ::owan::obs::Unit::kGigabits, slot_rate);
-    if (recovering && slot_rate + 1e-9 >= recover_baseline) {
-      result.recovery_seconds.push_back(now - recover_start);
-      OWAN_HISTO("sim.recovery_seconds", ::owan::obs::Unit::kSimSeconds,
-                 now - recover_start);
-      recovering = false;
-    }
-    last_slot_rate = slot_rate;
-
-    if (options.check_invariants) {
-      std::vector<std::string> v = fault::InvariantChecker::CheckSlot(
-          topology, plant, input.demands, output.allocations);
-      OWAN_COUNT_N("sim.invariant_violations", ::owan::obs::Unit::kOps,
-                   v.size());
-      result.invariant_violations.insert(result.invariant_violations.end(),
-                                         v.begin(), v.end());
-    }
-
-    const bool truncated = dur < options.slot_seconds - 1e-9;
-    std::vector<Active> still_active;
-    still_active.reserve(active.size());
-    for (size_t ai = 0; ai < active.size(); ++ai) {
-      Active a = active[ai];
-      TransferRecord& rec = result.transfers[a.index];
-      const core::TransferAllocation& alloc =
-          ai < output.allocations.size() ? output.allocations[ai]
-                                         : core::TransferAllocation{};
-
-      const core::Request& r = rec.request;
-      const SlotProgress p =
-          ProgressTransfer(r, a.remaining, alloc, changed, now, dur,
-                           options.slot_seconds, options.reconfig_penalty_s);
-
-      if (r.HasDeadline()) {
-        rec.delivered_by_deadline += std::min(p.deadline_part, p.delivered);
-      }
-      rec.delivered += p.delivered;
-      OWAN_HISTO("sim.delivered_gigabits", ::owan::obs::Unit::kGigabits,
-                 p.delivered);
-      if (truncated) {
-        const double lost = std::max(
-            0.0, std::min(p.full_delivered, a.remaining) - p.delivered);
-        result.gigabits_lost_to_faults += lost;
-        OWAN_HISTO("sim.invalidated_gigabits", ::owan::obs::Unit::kGigabits,
-                   lost);
-      }
-
-      if (options.check_invariants) {
-        std::vector<std::string> v =
-            checker.ObserveTransfer(r.id, rec.delivered, r.size);
-        OWAN_COUNT_N("sim.invariant_violations", ::owan::obs::Unit::kOps,
-                     v.size());
-        result.invariant_violations.insert(result.invariant_violations.end(),
-                                           v.begin(), v.end());
-      }
-
-      if (p.finishes) {
-        rec.completed = true;
-        OWAN_COUNT("sim.transfers_completed");
-        rec.completed_at = p.completed_at;
-        result.makespan = std::max(result.makespan, rec.completed_at);
-      } else {
-        a.remaining -= p.delivered;
-        a.slots_waited = p.delivered > 1e-9 ? 0 : a.slots_waited + 1;
-        if (p.total_rate <= 1e-9) rec.stalled_s += dur;
-        still_active.push_back(a);
-      }
-    }
-    active = std::move(still_active);
-    if (recovering && active.empty()) {
-      result.recovery_seconds.push_back(now + dur - recover_start);
-      OWAN_HISTO("sim.recovery_seconds", ::owan::obs::Unit::kSimSeconds,
-                 now + dur - recover_start);
-      recovering = false;
-    }
-    now += dur;
-  }
-
-  if (recovering) {
-    result.recovery_seconds.push_back(now - recover_start);
-    OWAN_HISTO("sim.recovery_seconds", ::owan::obs::Unit::kSimSeconds,
-               now - recover_start);
-  }
-
-  // Anything still unfinished at the cap counts as completing at the cap
-  // (pessimistic, applied identically to every scheme).
-  for (TransferRecord& rec : result.transfers) {
-    if (!rec.completed) {
-      rec.completed_at = options.max_time_s;
-      result.makespan = std::max(result.makespan, options.max_time_s);
-    }
-  }
-  return result;
+  service::ControllerService loop(&wan, scheme, requests, options);
+  loop.Run();
+  return std::move(loop).ToSimResult();
 }
 
 }  // namespace owan::sim

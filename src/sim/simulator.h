@@ -23,9 +23,6 @@ struct SimOptions {
   double reconfig_penalty_s = 0.0;
   // Safety cap on simulated time.
   double max_time_s = 72.0 * 3600.0;
-  // Fiber cuts injected during the run: (absolute time, fiber edge id).
-  // Legacy shorthand — merged into `faults` as kFiberCut events.
-  std::vector<std::pair<double, net::EdgeId>> fiber_failures;
   // The unified fault script (§3.4): fiber cuts and repairs, site/ROADM
   // outages, transceiver/regenerator failures, controller crashes. Event
   // timestamps need not align with slot boundaries — an event interrupts
@@ -116,7 +113,8 @@ struct SimResult {
 // the active transfers and emits allocations (and, for optical-aware
 // schemes, a new topology); transfers progress at their allocated rates,
 // minus the reconfiguration penalty on links whose circuits changed.
-// Faults from `options.faults` interrupt slots as described above.
+// Faults from `options.faults` interrupt slots as described above. The
+// loop is service::ControllerService's, in passthrough mode.
 SimResult RunSimulation(const topo::Wan& wan,
                         const std::vector<core::Request>& requests,
                         core::TeScheme& scheme, const SimOptions& options = {});

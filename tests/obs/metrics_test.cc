@@ -106,6 +106,22 @@ TEST(MetricsHistogramTest, PercentileWithinBucketResolution) {
   }
 }
 
+TEST(MetricsHistogramTest, PercentileOfZeroSamplesIsZero) {
+  Histogram& h = MetricsRegistry::Global().GetHistogram("test.zero_percentile",
+                                                        Unit::kSimSeconds);
+  h.Reset();
+  for (double v : {0.0, 0.0, 0.0, 5.0}) h.Record(v);
+  MetricsSnapshot snap = MetricsRegistry::Global().Snapshot();
+  bool found = false;
+  for (const auto& s : snap.histograms) {
+    if (s.name != "test.zero_percentile") continue;
+    found = true;
+    EXPECT_EQ(s.Percentile(50), 0.0);
+    EXPECT_NEAR(s.Percentile(100), 5.0, 0.25 * 5.0);
+  }
+  EXPECT_TRUE(found);
+}
+
 TEST(MetricsHistogramTest, SnapshotMergeAddsBuckets) {
   Histogram& a =
       MetricsRegistry::Global().GetHistogram("test.merge_a", Unit::kNone);

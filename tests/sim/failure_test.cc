@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/owan.h"
+#include "fault/fault_event.h"
 #include "sim/metrics.h"
 #include "sim/simulator.h"
 #include "topo/topologies.h"
@@ -31,7 +32,7 @@ TEST(FailureInjectionTest, SurvivableCutStillCompletes) {
   topo::Wan wan = topo::MakeMotivatingExample();
   core::OwanTe te = MakeOwan();
   SimOptions opt;
-  opt.fiber_failures = {{300.0, 0}};
+  opt.faults.Add(fault::FaultEvent::FiberCut(300.0, 0));
   auto res = RunSimulation(wan, {Req(0, 0, 1, 9000.0, 0.0)}, te, opt);
   EXPECT_TRUE(res.transfers[0].completed);
 }
@@ -45,7 +46,8 @@ TEST(FailureInjectionTest, CutSlowsButDoesNotStrand) {
       RunSimulation(wan, {Req(0, 0, 8, 12000.0, 0.0)}, te1);
   core::OwanTe te2 = MakeOwan();
   SimOptions opt;
-  opt.fiber_failures = {{0.0, 0}};  // SEA-SLC down from the start
+  // SEA-SLC down from the start.
+  opt.faults.Add(fault::FaultEvent::FiberCut(0.0, 0));
   auto cut = RunSimulation(wan, {Req(0, 0, 8, 12000.0, 0.0)}, te2, opt);
   EXPECT_TRUE(clean.transfers[0].completed);
   EXPECT_TRUE(cut.transfers[0].completed);
@@ -59,7 +61,8 @@ TEST(FailureInjectionTest, IsolatingCutsStrandOnlyAffectedTransfers) {
   topo::Wan wan = topo::MakeMotivatingExample();
   core::OwanTe te = MakeOwan();
   SimOptions opt;
-  opt.fiber_failures = {{300.0, 0}, {300.0, 1}};
+  opt.faults.Add(fault::FaultEvent::FiberCut(300.0, 0));
+  opt.faults.Add(fault::FaultEvent::FiberCut(300.0, 1));
   opt.max_time_s = 3600.0;
   auto res = RunSimulation(
       wan,
@@ -73,7 +76,8 @@ TEST(FailureInjectionTest, FailuresSortedByTime) {
   core::OwanTe te = MakeOwan();
   SimOptions opt;
   // Deliberately out of order; both must apply.
-  opt.fiber_failures = {{600.0, 1}, {300.0, 0}};
+  opt.faults.Add(fault::FaultEvent::FiberCut(600.0, 1));
+  opt.faults.Add(fault::FaultEvent::FiberCut(300.0, 0));
   opt.max_time_s = 3600.0;
   auto res = RunSimulation(wan, {Req(0, 0, 1, 60000.0, 0.0)}, te, opt);
   EXPECT_FALSE(res.transfers[0].completed);  // router 0 isolated by 600 s
@@ -87,7 +91,8 @@ TEST(FailureInjectionTest, BaselineAlsoSeesShrunkenTopology) {
   oo.control = core::ControlLevel::kRateAndRouting;
   core::OwanTe te(oo);
   SimOptions opt;
-  opt.fiber_failures = {{300.0, 0}, {300.0, 1}};
+  opt.faults.Add(fault::FaultEvent::FiberCut(300.0, 0));
+  opt.faults.Add(fault::FaultEvent::FiberCut(300.0, 1));
   opt.max_time_s = 3600.0;
   auto res = RunSimulation(wan, {Req(0, 0, 1, 90000.0, 0.0)}, te, opt);
   EXPECT_FALSE(res.transfers[0].completed);

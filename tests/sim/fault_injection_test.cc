@@ -55,27 +55,6 @@ class CountingScheme : public core::TeScheme {
   int calls = 0;
 };
 
-TEST(FaultInjectionTest, ScheduleEventMatchesLegacyFiberFailureList) {
-  // A kFiberCut at a slot boundary must behave exactly like the legacy
-  // fiber_failures shorthand.
-  topo::Wan wan = topo::MakeMotivatingExample();
-  core::OwanTe te1 = MakeOwan();
-  SimOptions legacy;
-  legacy.fiber_failures = {{300.0, 0}};
-  auto a = RunSimulation(wan, {Req(0, 0, 1, 9000.0, 0.0)}, te1, legacy);
-
-  core::OwanTe te2 = MakeOwan();
-  SimOptions unified;
-  unified.faults.Add(fault::FaultEvent::FiberCut(300.0, 0));
-  auto b = RunSimulation(wan, {Req(0, 0, 1, 9000.0, 0.0)}, te2, unified);
-
-  EXPECT_EQ(a.transfers[0].completed, b.transfers[0].completed);
-  EXPECT_DOUBLE_EQ(a.transfers[0].completed_at, b.transfers[0].completed_at);
-  EXPECT_DOUBLE_EQ(a.transfers[0].delivered, b.transfers[0].delivered);
-  EXPECT_EQ(a.slot_throughput, b.slot_throughput);
-  EXPECT_TRUE(b.invariant_violations.empty());
-}
-
 TEST(FaultInjectionTest, SubSlotCutInterruptsTheRunningSlot) {
   topo::Wan wan = topo::MakeMotivatingExample();
   core::OwanTe te = MakeOwan();

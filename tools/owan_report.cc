@@ -143,11 +143,11 @@ void PrintTraceReport(const TraceReport& rep) {
   }
 }
 
-// Admission summary over the streaming controller service's metrics
-// (service.* counters + histograms): accept/reject/pending rates, the
-// recompute-batching ratio, time-to-decision percentiles, and the sampled
-// pending-queue depth. Prints nothing when the snapshot has no service
-// metrics, so reports over other binaries are unchanged.
+// Admission summary over the slot loop's service.* counters and
+// histograms: accept/reject/pending rates, the recompute-batching ratio,
+// time-to-decision percentiles, and the sampled pending-queue depth.
+// Batch simulator runs record them too (the scheme's Admit decides, every
+// slot recomputes). Prints nothing when the snapshot has no decisions.
 void PrintAdmissionSummary(const Value& counters, const Value& histograms) {
   std::map<std::string, double> c;
   for (const Value& v : counters.array) {
