@@ -8,10 +8,10 @@
 #include <cstdio>
 #include <memory>
 
-#include "control/controller.h"
 #include "core/owan.h"
 #include "fault/fault_generator.h"
 #include "fault/schedule_io.h"
+#include "service/service.h"
 #include "sim/simulator.h"
 #include "topo/topologies.h"
 #include "util/units.h"
@@ -44,42 +44,50 @@ void PrintAvailability(const char* what, const sim::SimResult& res) {
 
 int main() {
   topo::Wan wan = topo::MakeInternet2();
-  control::Controller controller(&wan, MakeScheme());
+  service::ServiceOptions svc;
+  svc.mode = service::ServiceMode::kPassthrough;
+  service::ControllerService controller(&wan, MakeScheme(), svc);
 
   const int sea = wan.SiteByName("SEA");
   const int nyc = wan.SiteByName("NYC");
-  controller.Submit(sea, nyc, util::GB(4000));
-  controller.Tick();
+  core::Request big;
+  big.id = 0;
+  big.src = sea;
+  big.dst = nyc;
+  big.size = util::GB(4000);
+  controller.Submit(big);
+  controller.Step();
   std::printf("t=%4.0fs  links=%2d units=%2d  (steady state)\n",
               controller.now(), controller.topology().NumLinks(),
               controller.topology().TotalUnits());
 
-  // Cut the SEA-SLC fiber (fiber id 0 in the Internet2 build).
-  controller.ReportFiberFailure(0);
+  // The plant reports a cut of the SEA-SLC fiber (fiber id 0 in the
+  // Internet2 build): circuits re-route over surviving fibers, dark ports
+  // re-pair, and the next slot recomputes around the failure.
+  controller.ReportFault(fault::FaultEvent::FiberCut(controller.now(), 0));
   std::printf("fiber SEA-SLC cut: topology now %d units\n",
               controller.topology().TotalUnits());
 
-  controller.Tick();
+  controller.Step();
   std::printf("t=%4.0fs  links=%2d units=%2d  (recomputed around failure)\n",
               controller.now(), controller.topology().NumLinks(),
               controller.topology().TotalUnits());
 
   // Controller failover: checkpoint, "crash", restore, keep scheduling.
-  // The v2 checkpoint carries the plant failure state, so the standby
-  // sees the same degraded plant the primary saw.
+  // The checkpoint carries the plant failure state, so the standby sees
+  // the same degraded plant the primary saw.
   const std::string snapshot = controller.Checkpoint();
-  control::Controller restored =
-      control::Controller::Restore(&wan, MakeScheme(), snapshot);
+  service::ControllerService restored =
+      service::ControllerService::Restore(&wan, MakeScheme(), snapshot, svc);
   std::printf(
       "restored controller at t=%.0fs with %d active transfers "
       "(SEA-SLC still cut: %s)\n",
-      restored.now(), restored.ActiveTransfers(),
+      restored.now(), restored.active_transfers(),
       restored.plant().FiberCut(0) ? "yes" : "no");
 
-  int guard = 0;
-  while (restored.ActiveTransfers() > 0 && guard++ < 100) restored.Tick();
-  for (const auto& [id, t] : restored.transfers()) {
-    std::printf("transfer %d %s at t=%.0fs\n", id,
+  restored.Run();
+  for (const sim::TransferRecord& t : restored.ToSimResult().transfers) {
+    std::printf("transfer %d %s at t=%.0fs\n", t.request.id,
                 t.completed ? "completed" : "STILL PENDING", t.completed_at);
   }
 

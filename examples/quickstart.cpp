@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <memory>
 
-#include "control/controller.h"
 #include "core/owan.h"
+#include "service/service.h"
 #include "topo/topologies.h"
 #include "util/units.h"
 
@@ -24,38 +24,50 @@ int main() {
   opt.anneal.max_iterations = 300;
   auto scheme = std::make_unique<core::OwanTe>(opt);
 
-  control::Controller controller(&wan, std::move(scheme));
+  // The controller's slot loop; passthrough mode admits every request and
+  // recomputes the network state each slot.
+  service::ServiceOptions svc;
+  svc.mode = service::ServiceMode::kPassthrough;
+  service::ControllerService controller(&wan, std::move(scheme), svc);
 
   // Submit a few bulk transfers (sizes in gigabits; 500 GB = 4000 Gb).
   const int sea = wan.SiteByName("SEA");
   const int nyc = wan.SiteByName("NYC");
   const int lax = wan.SiteByName("LAX");
   const int chi = wan.SiteByName("CHI");
-  controller.Submit(sea, nyc, util::GB(500));
-  controller.Submit(lax, chi, util::GB(750));
-  controller.Submit(sea, nyc, util::GB(250), /*deadline=*/util::Minutes(30));
+  auto submit = [&controller](int id, int src, int dst, double size,
+                              double deadline = core::kNoDeadline) {
+    core::Request r;
+    r.id = id;
+    r.src = src;
+    r.dst = dst;
+    r.size = size;
+    r.deadline = deadline;
+    controller.Submit(r);
+  };
+  submit(0, sea, nyc, util::GB(500));
+  submit(1, lax, chi, util::GB(750));
+  submit(2, sea, nyc, util::GB(250), /*deadline=*/util::Minutes(30));
 
   std::printf("site count: %d, default links: %d\n", wan.optical.NumSites(),
               wan.default_topology.NumLinks());
 
   int slot = 0;
-  while (controller.ActiveTransfers() > 0 && slot < 50) {
-    controller.Tick();
+  while (slot < 50 && controller.Step()) {
     ++slot;
     std::printf("slot %2d | t=%6.0fs | active=%d | topology links=%d | "
-                "update ops=%zu (makespan %.2fs)\n",
-                slot, controller.now(), controller.ActiveTransfers(),
+                "rate %.0f Gbps | circuit changes so far %lld\n",
+                slot, controller.now(), controller.active_transfers(),
                 controller.topology().NumLinks(),
-                controller.last_update_plan().ops.size(),
-                controller.last_update_schedule().makespan);
+                controller.stats().slot_throughput.back().second,
+                static_cast<long long>(controller.stats().topology_changes));
   }
 
   std::printf("\ntransfer completions:\n");
-  for (const auto& [id, t] : controller.transfers()) {
-    std::printf("  transfer %d: %s in %.0fs (size %.0f Gb)\n", id,
+  for (const sim::TransferRecord& t : controller.ToSimResult().transfers) {
+    std::printf("  transfer %d: %s in %.0fs (size %.0f Gb)\n", t.request.id,
                 t.completed ? "done" : "unfinished",
-                t.completed ? t.completed_at - t.request.arrival : -1.0,
-                t.request.size);
+                t.completed ? t.CompletionTime() : -1.0, t.request.size);
   }
   return 0;
 }

@@ -119,6 +119,10 @@ bool Expired(const Deadline& d) {
   return d.has_value() && std::chrono::steady_clock::now() >= *d;
 }
 
+// Random neighbor moves that shuffle a cold start (warm_start = false); the
+// perturbed chains of a multi-chain search take up to as many.
+constexpr int kColdStartMoves = 64;
+
 // Serial chain (batch_size <= 1): the classic one-neighbor Metropolis walk,
 // evaluated through the chain's EnergyEvaluator. The evaluator mutates one
 // ProvisionedState in place (rolling back rejected moves exactly), reuses
@@ -137,7 +141,7 @@ ChainResult RunChainSerial(const Topology& current, Topology start,
   const EnergyEvaluator::Stats stats_before = eval.stats();
   const EnergyEvaluator::Eval base =
       eval.Reset(blank_optical, start, demands, starved, options.routing,
-                 options.reuse_slot_state);
+                 /*reuse_state=*/true);
   double cur_energy = base.energy;
 
   ChainResult out;
@@ -167,11 +171,6 @@ ChainResult RunChainSerial(const Topology& current, Topology start,
     ++iters;
     auto neighbor = ComputeNeighbor(cur_topo, rng, &port_budget);
     if (!neighbor) break;
-    if (options.max_distance > 0 &&
-        neighbor->DistanceTo(current) > options.max_distance) {
-      temperature *= options.alpha;
-      continue;  // out of the allowed update radius
-    }
 
     EnergyEvaluator::Eval ev;
     {
@@ -303,17 +302,9 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
         exhausted = true;
         break;
       }
-      if (options.max_distance > 0 &&
-          neighbor->DistanceTo(current) > options.max_distance) {
-        temperature *= options.alpha;  // mirrors the serial schedule
-        continue;
-      }
       cand.push_back(std::move(*neighbor));
     }
-    if (cand.empty()) {
-      if (exhausted) break;
-      continue;
-    }
+    if (cand.empty()) break;  // no neighbor move exists
 
     states.assign(cand.size(), std::nullopt);
     routings.assign(cand.size(), RoutingOutcome{});
@@ -564,7 +555,7 @@ AnnealResult ComputeNetworkState(const Topology& current,
     // pre-parallel implementation.
     ChainResult cr = RunChainTraced(
         0, current, blank_optical, demands, options, port_budget, starved,
-        options.warm_start ? 0 : options.cold_start_moves, rng, pool,
+        options.warm_start ? 0 : kColdStartMoves, rng, pool,
         scr.ForChain(0), deadline);
     const int iters = cr.iterations;
     const int accepted = cr.accepted;
@@ -595,10 +586,10 @@ AnnealResult ComputeNetworkState(const Topology& current,
   // starts from it unperturbed instead — temporal coherence makes the
   // previous slot's searched best a stronger opening than a random shake.
   std::vector<int> perturb(static_cast<size_t>(num_chains), 0);
-  perturb[0] = options.warm_start ? 0 : options.cold_start_moves;
+  perturb[0] = options.warm_start ? 0 : kColdStartMoves;
   for (int c = 1; c < num_chains; ++c) {
     perturb[static_cast<size_t>(c)] =
-        std::min(options.cold_start_moves, 4 * c);
+        std::min(kColdStartMoves, 4 * c);
   }
   const Topology* hint_start = nullptr;
   if (warm_hint != nullptr && warm_hint->NumSites() == current.NumSites()) {

@@ -40,24 +40,10 @@ struct AnnealOptions {
   // Paper default: start from the current topology. false = cold start from
   // a randomly shuffled topology (ablation).
   bool warm_start = true;
-  int cold_start_moves = 64;
-  // Reuse each chain evaluator's provisioned state across slots when the
-  // blank plant is unchanged (certified by its mutation stamp; see
-  // EnergyEvaluator::Reset): the next slot SyncTo-diffs from the previous
-  // slot's final state instead of re-provisioning a fresh plant copy — the
-  // cross-slot analogue of the in-chain apply/rollback evaluation. On
-  // plants with spare wavelengths the warm state is identical to the cold
-  // derivation; under heavy fragmentation both are valid provisionings and
-  // same-seed reruns remain deterministic either way.
-  bool reuse_slot_state = true;
   // Keep the current topology unless the best candidate beats it by this
   // relative margin. Reconfiguration is not free (circuits go dark for
   // seconds), so marginal wins are not worth the churn.
   double min_adopt_gain = 0.02;
-  // If > 0, candidate states farther than this many circuit changes from
-  // the current topology are never explored — a hard cap on per-slot
-  // update size (keeps the Fig. 10b transition small and fast).
-  int max_distance = 0;
   // If > 0, a wall-clock budget (seconds) for the whole search: chains stop
   // drawing candidates once it expires and the best state found so far
   // stands. With a warm start an expired budget degrades to the current
@@ -121,11 +107,14 @@ struct AnnealResult {
 // or scheduling.
 //
 // `scratch` (optional) carries the per-chain EnergyEvaluators — and with
-// them the per-pair path caches, the shared transposition table, and
-// (with reuse_slot_state) the provisioned optical states — across calls,
-// so slot k+1 starts from slot k's warm caches instead of enumerating the
-// world again. Long-lived callers (OwanTe) should own one; results are
-// identical with or without.
+// them the per-pair path caches, the shared transposition table, and the
+// provisioned optical states — across calls, so slot k+1 starts from slot
+// k's warm caches instead of enumerating the world again: while the blank
+// plant is unchanged (certified by its mutation stamp; see
+// EnergyEvaluator::Reset), the next slot SyncTo-diffs from the previous
+// slot's final state instead of re-provisioning a fresh plant copy.
+// Long-lived callers (OwanTe) should own one; results are identical with
+// or without.
 //
 // `warm_hint` (optional) is a previous slot's searched-best topology. In a
 // multi-chain search it replaces the first perturbed chain's start (chain

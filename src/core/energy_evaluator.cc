@@ -16,8 +16,7 @@ constexpr double kRateEps = 1e-9;
 // meaningless (the cache must be dropped, not invalidated incrementally).
 bool EnumerationOptionsDiffer(const RoutingOptions& a,
                               const RoutingOptions& b) {
-  return a.max_hops != b.max_hops ||
-         a.max_paths_per_pair != b.max_paths_per_pair;
+  return a.max_hops != b.max_hops;
 }
 }  // namespace
 
@@ -497,7 +496,7 @@ const PairPaths& EnergyEvaluator::PathsFor(net::NodeId src, net::NodeId dst) {
     ++stats_.pairs_enumerated;
     e.pp = PairPaths{};
     e.pp.paths = net::PathsUpToHops(graph_, src, dst, options_.max_hops,
-                                    options_.max_paths_per_pair,
+                                    kMaxPathsPerPair,
                                     &e.pp.truncated);
     if (e.pp.paths.empty()) {
       // Exactly the set EnumeratePairPaths's KShortestPaths(g, src, dst, 2)

@@ -56,7 +56,7 @@ PairPaths EnumeratePairPaths(const net::Graph& topo, net::NodeId src,
                              net::NodeId dst, const RoutingOptions& options) {
   PairPaths pp;
   pp.paths = net::PathsUpToHops(topo, src, dst, options.max_hops,
-                                options.max_paths_per_pair, &pp.truncated);
+                                kMaxPathsPerPair, &pp.truncated);
   if (pp.paths.empty()) {
     pp.paths = net::KShortestPaths(topo, src, dst, 2);
     pp.fallback = true;

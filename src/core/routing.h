@@ -12,13 +12,14 @@
 
 namespace owan::core {
 
+// Cap on enumerated simple paths per (src, dst) pair.
+inline constexpr size_t kMaxPathsPerPair = 24;
+
 struct RoutingOptions {
   PolicyOptions policy;
   // Longest routing path considered (hop rounds l = 1..max_hops,
   // Algorithm 3 lines 17-25).
   int max_hops = 4;
-  // Cap on enumerated simple paths per (src, dst) pair.
-  size_t max_paths_per_pair = 24;
   // false (paper Algorithm 3): round l serves every transfer's l-hop paths
   // before anyone uses l+1 hops. true: each transfer exhausts all its path
   // lengths before the next transfer gets anything (the strict SJF of the
@@ -39,7 +40,7 @@ struct PairPaths {
   // nothing within max_hops): no hop bound applies, and the set depends on
   // global graph structure rather than only the links it traverses.
   bool fallback = false;
-  // PathsUpToHops stopped at max_paths_per_pair: the set is an incomplete
+  // PathsUpToHops stopped at kMaxPathsPerPair: the set is an incomplete
   // sample, not the full bounded-hop path space.
   bool truncated = false;
 };

@@ -10,7 +10,7 @@
 //
 // Metric-name convention: "<layer>.<what>" (anneal.iterations,
 // sim.fault_events, update.ops). Span convention: category = layer,
-// name = stage ("control"/"tick", "core"/"anneal", "sim"/"slot").
+// name = stage ("service"/"recompute", "core"/"anneal", "sim"/"slot").
 
 #include <chrono>
 

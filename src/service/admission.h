@@ -38,7 +38,9 @@ struct AdmissionOptions {
 // The ledger is conservative, not exact: the recompute loop may deliver
 // more than the reservation implies (topology reconfiguration) or less
 // (contention with best-effort traffic). It bounds what admission promises,
-// not what the scheme allocates.
+// not what the scheme allocates. It does not follow the plant either: a
+// fault applied through ControllerService::ReportFault leaves the bookings
+// on the default topology.
 class AdmissionController {
  public:
   AdmissionController(const net::Graph& fixed_topology,
@@ -75,9 +77,9 @@ class AdmissionController {
   // may be oversubscribed. Returns human-readable violations; empty = ok.
   std::vector<std::string> Audit() const;
 
-  // ---- checkpoint v4 embedding ----
+  // ---- checkpoint embedding ----
   // Emits "adm ..." / "aresv ..." / "aslot ..." lines; the service's
-  // Checkpoint() calls this inside its own v4 body.
+  // Checkpoint() calls this inside its own body.
   void Checkpoint(std::ostream& os) const;
   // Consumes one line of the section (tag already extracted). Returns false
   // if the tag is not an admission tag. Call FinishRestore() once all lines

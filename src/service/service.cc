@@ -4,14 +4,15 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
 
-#include "control/checkpoint_io.h"
 #include "fault/fault_injector.h"
 #include "obs/obs.h"
+#include "update/executor.h"
 #include "update/update_plan.h"
 
 namespace owan::service {
@@ -37,14 +38,71 @@ size_t Log2Bucket(size_t depth) {
   return b;
 }
 
-ServiceOptions BatchOptions(const sim::SimOptions& sim) {
+ServiceOptions PassthroughOptions(const sim::SimOptions& sim,
+                                  bool retain_records) {
   ServiceOptions o;
   o.slot_seconds = sim.slot_seconds;
   o.reconfig_penalty_s = sim.reconfig_penalty_s;
   o.max_time_s = sim.max_time_s;
   o.mode = ServiceMode::kPassthrough;
-  o.retain_records = false;
+  o.retain_records = retain_records;
   return o;
+}
+
+// Checkpoint dialect for routes: one "<tag> <id>" line per allocation, then
+// one "path <rate> <n> <node...>" line per path. Only node sequences are
+// stored: the progress arithmetic, the update planner and the executor
+// read nodes alone.
+void WriteAllocation(std::ostream& os, const char* tag, int id,
+                     const core::TransferAllocation& a) {
+  os << tag << " " << id << "\n";
+  for (const core::PathAllocation& pa : a.paths) {
+    os << "path " << pa.rate << " " << pa.path.nodes.size();
+    for (net::NodeId n : pa.path.nodes) os << " " << n;
+    os << "\n";
+  }
+}
+
+bool ReadPathBody(std::istream& ls, core::PathAllocation& pa) {
+  size_t len = 0;
+  ls >> pa.rate >> len;
+  for (size_t k = 0; k < len && !ls.fail(); ++k) {
+    net::NodeId n;
+    ls >> n;
+    pa.path.nodes.push_back(n);
+  }
+  return !ls.fail();
+}
+
+void WriteTopology(std::ostream& os, const char* tag,
+                   const core::Topology& t) {
+  os << tag << " " << t.NumSites() << "\n";
+  for (const core::Link& l : t.Links()) {
+    os << "link " << l.u << " " << l.v << " " << l.units << "\n";
+  }
+}
+
+// Raw failure state, not its effects: a fiber dark only because its site
+// is down is not written as cut, so it comes back with the site.
+void WritePlantFailures(std::ostream& os,
+                        const optical::OpticalNetwork& plant) {
+  os << "plant\n";
+  for (net::EdgeId e = 0; e < plant.NumFibers(); ++e) {
+    if (plant.FiberCut(e)) os << "fiber-failed " << e << "\n";
+    if (plant.FiberDegradationDb(e) > 0.0) {
+      os << "fiber-degraded " << e << " " << plant.FiberDegradationDb(e)
+         << "\n";
+    }
+  }
+  for (net::NodeId v = 0; v < plant.NumSites(); ++v) {
+    if (plant.SiteFailed(v)) os << "site-failed " << v << "\n";
+    if (plant.FailedPorts(v) > 0) {
+      os << "ports-failed " << v << " " << plant.FailedPorts(v) << "\n";
+    }
+    if (plant.FailedRegens(v) > 0) {
+      os << "regens-failed " << v << " " << plant.FailedRegens(v) << "\n";
+    }
+  }
 }
 
 // While the controller is down the data plane keeps forwarding the last
@@ -125,10 +183,21 @@ ControllerService::ControllerService(const topo::Wan* wan,
 }
 
 ControllerService::ControllerService(const topo::Wan* wan,
+                                     std::unique_ptr<core::TeScheme> scheme,
+                                     const sim::SimOptions& sim)
+    : ControllerService(wan, scheme.get(),
+                        PassthroughOptions(sim, /*retain_records=*/true)) {
+  owned_scheme_ = std::move(scheme);
+  sim_ = sim;
+  sim_.faults.Normalize();
+}
+
+ControllerService::ControllerService(const topo::Wan* wan,
                                      core::TeScheme& scheme,
                                      const std::vector<core::Request>& requests,
                                      const sim::SimOptions& sim)
-    : ControllerService(wan, &scheme, BatchOptions(sim)) {
+    : ControllerService(wan, &scheme,
+                        PassthroughOptions(sim, /*retain_records=*/false)) {
   sim_ = sim;
   sim_.faults.Normalize();
   batch_ = true;
@@ -374,53 +443,75 @@ void ControllerService::AddViolations(const std::vector<std::string>& v) {
                                      v.begin(), v.end());
 }
 
-void ControllerService::ApplyDueFaults() {
+optical::OpticalNetwork& ControllerService::MutablePlant() {
+  if (!plant_) plant_ = std::make_unique<optical::OpticalNetwork>(wan_->optical);
+  return *plant_;
+}
+
+bool ControllerService::ApplyFault(const fault::FaultEvent& e) {
+  ++result_.fault_events;
+  OWAN_COUNT("sim.fault_events");
+  OWAN_INSTANT("sim", "fault.interrupt",
+               ::owan::obs::TraceArg{"time", e.time},
+               ::owan::obs::TraceArg{"type", static_cast<double>(e.type)});
+  if (e.type == fault::FaultType::kControllerCrash) {
+    controller_up_ = false;
+    return false;
+  }
+  if (e.type == fault::FaultType::kControllerRecover) {
+    controller_up_ = true;
+    return false;
+  }
+  return fault::ApplyPlantEvent(e, MutablePlant());
+}
+
+void ControllerService::AfterFaults(bool plant_changed) {
   // The plant shrinks immediately; the topology recomputes on whatever
   // survives (with dark-port repair only if a controller is alive to do
   // it — §3.4).
-  const std::vector<fault::FaultEvent>& events = sim_.faults.events;
-  bool any_event = false;
-  bool plant_changed = false;
-  while (next_fault_ < events.size() &&
-         events[next_fault_].time <= now_ + 1e-9) {
-    const fault::FaultEvent& e = events[next_fault_++];
-    ++result_.fault_events;
-    OWAN_COUNT("sim.fault_events");
-    OWAN_INSTANT("sim", "fault.interrupt",
-                 ::owan::obs::TraceArg{"time", e.time},
-                 ::owan::obs::TraceArg{"type", static_cast<double>(e.type)});
-    any_event = true;
-    if (e.type == fault::FaultType::kControllerCrash) {
-      controller_up_ = false;
-    } else if (e.type == fault::FaultType::kControllerRecover) {
-      controller_up_ = true;
-    } else {
-      if (!plant_) {
-        plant_ = std::make_unique<optical::OpticalNetwork>(wan_->optical);
-      }
-      plant_changed |= fault::ApplyPlantEvent(e, *plant_);
-    }
-  }
   if (plant_changed) {
     topology_ = fault::RecomputeTopology(topology_, *plant_, controller_up_);
+    force_recompute_ = true;
     if (!controller_up_) {
       PruneFrozenAllocations(frozen_, topology_, plant_->wavelength_capacity());
     }
   }
-  if (any_event && !recovering_ && !active_order_.empty()) {
+  if (!recovering_ && !active_order_.empty()) {
     recovering_ = true;
     recover_start_ = now_;
     recover_baseline_ = last_slot_rate_;
   }
 }
 
-void ControllerService::ExecuteUpdate(const core::TeInput& input, double dur,
+void ControllerService::ApplyDueFaults() {
+  const std::vector<fault::FaultEvent>& events = sim_.faults.events;
+  bool any_event = false;
+  bool plant_changed = false;
+  while (next_fault_ < events.size() &&
+         events[next_fault_].time <= now_ + 1e-9) {
+    plant_changed |= ApplyFault(events[next_fault_++]);
+    any_event = true;
+  }
+  if (any_event) AfterFaults(plant_changed);
+}
+
+void ControllerService::ReportFault(const fault::FaultEvent& e) {
+  if (!e.IsPlantEvent()) {
+    throw std::invalid_argument(
+        "ControllerService::ReportFault: not a plant event");
+  }
+  if (parked_) ProgressSlot();  // the parked slot finishes first
+  AfterFaults(ApplyFault(e));
+}
+
+bool ControllerService::ExecuteUpdate(const core::TeInput& input, double dur,
                                       core::TeOutput& output,
-                                      std::set<sim::LinkKey>& changed) {
-  // The plan starts at the interval head. If a fault event truncates the
-  // interval before the update converges, the plant changed under the
-  // update and it safe-aborts (rollback to the pre-update state) before
-  // the next Step applies the fault.
+                                      std::set<sim::LinkKey>& changed,
+                                      const update::IntentLog* wal) {
+  // The plan starts at the interval head. If the update has not converged
+  // by the interval's end — a fault event may truncate it — it safe-aborts
+  // (rollback to the pre-update state) before the next Step applies the
+  // fault.
   const optical::OpticalNetwork& plant = this->plant();
   update::ExecutorInput ein;
   ein.from = topology_;
@@ -436,10 +527,24 @@ void ControllerService::ExecuteUpdate(const core::TeInput& input, double dur,
   update::ExecutorOptions eopts;
   eopts.actuation = sim_.actuation;
   eopts.retry = sim_.retry;
-  eopts.wave_size = sim_.update_wave_size;
   eopts.theta = plant.wavelength_capacity();
   update::UpdateExecutor ex(std::move(ein), eopts);
-  if (!ex.StepUntil(dur)) ex.RequestAbort();
+  // The executor is a pure function of these inputs and its log, so a
+  // parked update resumes by replaying the log; it never parks twice.
+  size_t crash_at = std::numeric_limits<size_t>::max();
+  if (wal != nullptr) {
+    ex.Replay(*wal);
+  } else if (sim_.crash_after_wal_records >= 0) {
+    crash_at = static_cast<size_t>(sim_.crash_after_wal_records);
+  }
+  if (!ex.StepUntil(dur, crash_at)) {
+    if (ex.log().records.size() >= crash_at) {
+      parked_ = std::make_unique<ParkedUpdate>(
+          ParkedUpdate{std::move(output), ex.log()});
+      return false;
+    }
+    ex.RequestAbort();
+  }
   update::ExecResult res = ex.Finish();
   ++result_.updates_executed;
   result_.update_retries += res.stats.retries;
@@ -456,7 +561,7 @@ void ControllerService::ExecuteUpdate(const core::TeInput& input, double dur,
     // The realized routes (positional with this slot's allocations) are
     // what the data plane actually carries.
     output.allocations = res.final_routes;
-    return;
+    return true;
   }
   ++result_.update_aborts;
   OWAN_COUNT("sim.update_aborts");
@@ -473,9 +578,10 @@ void ControllerService::ExecuteUpdate(const core::TeInput& input, double dur,
     }
   }
   output.allocations = std::move(reverted);
+  return true;
 }
 
-void ControllerService::Recompute(const core::TeInput& input, double dur,
+bool ControllerService::Recompute(const core::TeInput& input, double dur,
                                   double total_demand, core::TeOutput& output,
                                   std::set<sim::LinkKey>& changed) {
   OWAN_SPAN(span, "service", "recompute");
@@ -487,9 +593,16 @@ void ControllerService::Recompute(const core::TeInput& input, double dur,
           .count();
   stats_.compute_seconds += compute_s;
   OWAN_HISTO("sim.compute_seconds", ::owan::obs::Unit::kSeconds, compute_s);
+  return Install(input, dur, total_demand, output, changed, nullptr);
+}
+
+bool ControllerService::Install(const core::TeInput& input, double dur,
+                                double total_demand, core::TeOutput& output,
+                                std::set<sim::LinkKey>& changed,
+                                const update::IntentLog* wal) {
   if (output.new_topology && !(*output.new_topology == topology_)) {
     if (sim_.execute_updates) {
-      ExecuteUpdate(input, dur, output, changed);
+      if (!ExecuteUpdate(input, dur, output, changed, wal)) return false;
     } else {
       changed = sim::ChangedLinks(topology_, *output.new_topology);
       stats_.topology_changes += topology_.DistanceTo(*output.new_topology);
@@ -509,6 +622,7 @@ void ControllerService::Recompute(const core::TeInput& input, double dur,
   last_recompute_demand_ = total_demand;
   demand_added_ = 0.0;
   force_recompute_ = false;
+  return true;
 }
 
 void ControllerService::ProgressSlot() {
@@ -548,9 +662,15 @@ void ControllerService::ProgressSlot() {
 
   core::TeOutput output;
   std::set<sim::LinkKey> changed;
-  if (controller_up_ &&
-      (options_.mode == ServiceMode::kPassthrough || ShouldRecompute())) {
-    Recompute(input, dur, total_demand, output, changed);
+  if (parked_) {
+    // Finish the slot the crash hook parked: the same input and the kept
+    // TE output, with the executor replayed from its log.
+    const std::unique_ptr<ParkedUpdate> parked = std::move(parked_);
+    output = std::move(parked->output);
+    Install(input, dur, total_demand, output, changed, &parked->wal);
+  } else if (controller_up_ && (options_.mode == ServiceMode::kPassthrough ||
+                                ShouldRecompute())) {
+    if (!Recompute(input, dur, total_demand, output, changed)) return;
   } else {
     // Coast: the data plane keeps the last computed rates — between batched
     // recomputes, or while the controller is down. Transfers that arrived
@@ -645,6 +765,11 @@ void ControllerService::ProgressSlot() {
 }
 
 bool ControllerService::Step() {
+  // A parked slot finishes before anything else runs.
+  if (parked_) {
+    ProgressSlot();
+    return true;
+  }
   if (now_ >= options_.max_time_s) return false;
 
   ApplyDueFaults();
@@ -770,7 +895,7 @@ void ControllerService::FinishSimResult(sim::SimResult& result) const {
 std::string ControllerService::Checkpoint() const {
   std::ostringstream os;
   os.precision(17);
-  os << "owan-checkpoint v4\n";
+  os << "owan-checkpoint v6\n";
   os << "now " << now_ << "\n";
   os << "mode " << static_cast<int>(options_.mode) << "\n";
   os << "svc-counters " << stats_.requests << " " << stats_.admitted << " "
@@ -779,8 +904,8 @@ std::string ControllerService::Checkpoint() const {
      << stats_.completed << " " << stats_.slots << " " << stats_.recomputes
      << " " << stats_.coasts << " " << stats_.retry_rounds << " "
      << stats_.topology_changes << "\n";
-  os << "svc-accum " << stats_.compute_seconds << " "
-     << stats_.delivered_gigabits << " " << stats_.makespan << "\n";
+  os << "svc-accum " << stats_.delivered_gigabits << " " << stats_.makespan
+     << "\n";
   os << "svc-latency";
   for (uint64_t v : stats_.decision_latency_slots) os << " " << v;
   os << "\n";
@@ -791,10 +916,11 @@ std::string ControllerService::Checkpoint() const {
      << last_recompute_demand_ << " " << force_recompute_ << "\n";
   os << "fingerprint " << fp_acc_ << "\n";
   if (stream_) os << "stream " << stream_consumed_ << "\n";
-  os << "topology " << topology_.NumSites() << "\n";
-  for (const core::Link& l : topology_.Links()) {
-    os << "slink " << l.u << " " << l.v << " " << l.units << "\n";
+  if (!sim_.faults.empty()) {
+    os << "faults " << next_fault_ << " " << controller_up_ << "\n";
   }
+  WriteTopology(os, "topology", topology_);
+  if (plant_) WritePlantFailures(os, *plant_);
   for (const auto& [key, r] : queued_) {
     os << "qreq " << r.id << " " << r.src << " " << r.dst << " " << r.size
        << " " << r.arrival << " " << r.deadline << "\n";
@@ -828,8 +954,21 @@ std::string ControllerService::Checkpoint() const {
     os << "tp " << t << " " << rate << "\n";
   }
   for (const auto& [id, alloc] : frozen_) {
-    os << "froute " << id << " " << alloc.paths.size() << "\n";
-    control::WritePaths(os, "fpath", alloc.paths);
+    WriteAllocation(os, "froute", id, alloc);
+  }
+  for (const core::TransferAllocation& a : installed_) {
+    WriteAllocation(os, "iroute", a.id, a);
+  }
+  if (parked_) {
+    // The interrupted update: its target topology, its new routes and the
+    // intent log; the old routes are the installed ones above.
+    WriteTopology(os, "ptopology", *parked_->output.new_topology);
+    for (const core::TransferAllocation& a : parked_->output.allocations) {
+      WriteAllocation(os, "proute", a.id, a);
+    }
+    for (const update::IntentRecord& r : parked_->wal.records) {
+      os << "pwal " << update::IntentLog::RecordToString(r) << "\n";
+    }
   }
   admission_.Checkpoint(os);
   return os.str();
@@ -838,57 +977,110 @@ std::string ControllerService::Checkpoint() const {
 ControllerService ControllerService::Restore(
     const topo::Wan* wan, std::unique_ptr<core::TeScheme> scheme,
     const std::string& checkpoint, ServiceOptions options) {
+  ControllerService c(wan, std::move(scheme), options);
+  c.RestoreState(checkpoint);
+  return c;
+}
+
+ControllerService ControllerService::Restore(
+    const topo::Wan* wan, std::unique_ptr<core::TeScheme> scheme,
+    const std::string& checkpoint, const sim::SimOptions& sim) {
+  ControllerService c(wan, std::move(scheme), sim);
+  c.RestoreState(checkpoint);
+  return c;
+}
+
+void ControllerService::RestoreState(const std::string& checkpoint) {
   std::istringstream is(checkpoint);
   std::string line;
-  if (!std::getline(is, line) || line != "owan-checkpoint v4") {
+  if (!std::getline(is, line) || line != "owan-checkpoint v6") {
     throw std::invalid_argument(
         "ControllerService::Restore: bad checkpoint header");
   }
-  ControllerService c(wan, std::move(scheme), options);
+  auto parked = [this]() -> ParkedUpdate& {
+    if (!parked_) parked_ = std::make_unique<ParkedUpdate>();
+    return *parked_;
+  };
   core::Topology topo;
-  core::TransferAllocation* froute = nullptr;
+  // The topology and the allocation that link and path lines extend.
+  core::Topology* links = nullptr;
+  core::TransferAllocation* route = nullptr;
   while (std::getline(is, line)) {
     std::istringstream ls(line);
     std::string tag;
     ls >> tag;
     if (tag == "now") {
-      ls >> c.now_;
+      ls >> now_;
     } else if (tag == "mode") {
       int m = 0;
       ls >> m;
-      c.options_.mode = static_cast<ServiceMode>(m);
+      options_.mode = static_cast<ServiceMode>(m);
     } else if (tag == "svc-counters") {
-      ls >> c.stats_.requests >> c.stats_.admitted >> c.stats_.rejected >>
-          c.stats_.pending_enqueued >> c.stats_.pending_admitted >>
-          c.stats_.pending_rejected >> c.stats_.completed >> c.stats_.slots >>
-          c.stats_.recomputes >> c.stats_.coasts >> c.stats_.retry_rounds >>
-          c.stats_.topology_changes;
+      ls >> stats_.requests >> stats_.admitted >> stats_.rejected >>
+          stats_.pending_enqueued >> stats_.pending_admitted >>
+          stats_.pending_rejected >> stats_.completed >> stats_.slots >>
+          stats_.recomputes >> stats_.coasts >> stats_.retry_rounds >>
+          stats_.topology_changes;
     } else if (tag == "svc-accum") {
-      ls >> c.stats_.compute_seconds >> c.stats_.delivered_gigabits >>
-          c.stats_.makespan;
+      ls >> stats_.delivered_gigabits >> stats_.makespan;
     } else if (tag == "svc-latency") {
-      for (uint64_t& v : c.stats_.decision_latency_slots) ls >> v;
+      for (uint64_t& v : stats_.decision_latency_slots) ls >> v;
     } else if (tag == "svc-qdepth") {
-      for (uint64_t& v : c.stats_.queue_depth) ls >> v;
+      for (uint64_t& v : stats_.queue_depth) ls >> v;
     } else if (tag == "svc-clock") {
-      ls >> c.last_recompute_slot_ >> c.demand_added_ >>
-          c.last_recompute_demand_ >> c.force_recompute_;
+      ls >> last_recompute_slot_ >> demand_added_ >> last_recompute_demand_ >>
+          force_recompute_;
     } else if (tag == "fingerprint") {
-      ls >> c.fp_acc_;
+      ls >> fp_acc_;
     } else if (tag == "stream") {
-      ls >> c.stream_resume_cursor_;
-    } else if (tag == "topology") {
+      ls >> stream_resume_cursor_;
+    } else if (tag == "faults") {
+      ls >> next_fault_ >> controller_up_;
+    } else if (tag == "topology" || tag == "ptopology") {
       int n = 0;
       ls >> n;
-      topo = core::Topology(n);
-    } else if (tag == "slink") {
+      if (tag == "topology") {
+        links = &(topo = core::Topology(n));
+      } else {
+        links = &parked().output.new_topology.emplace(n);
+      }
+    } else if (tag == "link") {
       int u, v, units;
       ls >> u >> v >> units;
-      if (!ls.fail()) topo.AddUnits(u, v, units);
+      if (links == nullptr) {
+        throw std::invalid_argument(
+            "ControllerService::Restore: link before topology");
+      }
+      if (!ls.fail()) links->AddUnits(u, v, units);
+    } else if (tag == "plant") {
+      MutablePlant();
+    } else if (tag == "fiber-failed") {
+      net::EdgeId e;
+      ls >> e;
+      if (!ls.fail()) MutablePlant().FailFiber(e);
+    } else if (tag == "fiber-degraded") {
+      net::EdgeId e;
+      double db = 0.0;
+      ls >> e >> db;
+      if (!ls.fail()) MutablePlant().DegradeFiber(e, db);
+    } else if (tag == "site-failed") {
+      net::NodeId v;
+      ls >> v;
+      if (!ls.fail()) MutablePlant().FailSite(v);
+    } else if (tag == "ports-failed") {
+      net::NodeId v;
+      int k;
+      ls >> v >> k;
+      if (!ls.fail()) MutablePlant().FailPorts(v, k);
+    } else if (tag == "regens-failed") {
+      net::NodeId v;
+      int k;
+      ls >> v >> k;
+      if (!ls.fail()) MutablePlant().FailRegens(v, k);
     } else if (tag == "qreq") {
       core::Request r;
       ls >> r.id >> r.src >> r.dst >> r.size >> r.arrival >> r.deadline;
-      if (!ls.fail()) c.queued_.emplace_back(r.id, r);
+      if (!ls.fail()) queued_.emplace_back(r.id, r);
     } else if (tag == "rec") {
       Record rec;
       int id = -1, verdict = 0;
@@ -900,8 +1092,8 @@ ControllerService ControllerService::Restore(
       if (!ls.fail()) {
         rec.request.id = id;
         rec.verdict = static_cast<Verdict>(verdict);
-        c.records_.emplace(id, std::move(rec));
-        if (c.options_.retain_records) c.submission_order_.push_back(id);
+        records_.emplace(id, std::move(rec));
+        if (options_.retain_records) submission_order_.push_back(id);
       }
     } else if (tag == "active") {
       size_t n = 0;
@@ -909,7 +1101,7 @@ ControllerService ControllerService::Restore(
       for (size_t k = 0; k < n && !ls.fail(); ++k) {
         int id;
         ls >> id;
-        c.active_order_.push_back(id);
+        active_order_.push_back(id);
       }
     } else if (tag == "pendq") {
       size_t n = 0;
@@ -917,31 +1109,35 @@ ControllerService ControllerService::Restore(
       for (size_t k = 0; k < n && !ls.fail(); ++k) {
         int id;
         ls >> id;
-        c.pending_.push_back(id);
+        pending_.push_back(id);
       }
     } else if (tag == "tp") {
       double t = 0.0, rate = 0.0;
       ls >> t >> rate;
-      if (!ls.fail()) c.stats_.slot_throughput.emplace_back(t, rate);
-    } else if (tag == "froute") {
+      if (!ls.fail()) stats_.slot_throughput.emplace_back(t, rate);
+    } else if (tag == "froute" || tag == "iroute" || tag == "proute") {
       int id = -1;
-      size_t n = 0;
-      ls >> id >> n;
-      if (!ls.fail()) {
-        core::TransferAllocation a;
-        a.id = id;
-        froute = &c.frozen_.emplace(id, std::move(a)).first->second;
+      ls >> id;
+      if (tag == "froute") {
+        route = &frozen_[id];
+      } else if (tag == "iroute") {
+        route = &installed_.emplace_back();
+      } else {
+        route = &parked().output.allocations.emplace_back();
       }
-    } else if (tag == "fpath") {
-      if (froute == nullptr) {
+      route->id = id;
+    } else if (tag == "path") {
+      if (route == nullptr) {
         throw std::invalid_argument(
-            "ControllerService::Restore: fpath before froute");
+            "ControllerService::Restore: path before route");
       }
       core::PathAllocation pa;
-      if (control::ReadPathBody(ls, pa)) {
-        froute->paths.push_back(std::move(pa));
-      }
-    } else if (!c.admission_.RestoreLine(tag, ls)) {
+      if (ReadPathBody(ls, pa)) route->paths.push_back(std::move(pa));
+    } else if (tag == "pwal") {
+      std::string rest;
+      std::getline(ls, rest);
+      parked().wal.records.push_back(update::IntentLog::RecordFromString(rest));
+    } else if (!admission_.RestoreLine(tag, ls)) {
       throw std::invalid_argument(
           "ControllerService::Restore: unknown tag: " + tag);
     }
@@ -950,9 +1146,15 @@ ControllerService ControllerService::Restore(
           "ControllerService::Restore: corrupt line: " + line);
     }
   }
-  if (topo.NumSites() > 0) c.topology_ = topo;
-  c.admission_.FinishRestore();
-  return c;
+  if (parked_ && (!parked_->output.new_topology || !sim_.execute_updates)) {
+    throw std::invalid_argument(
+        "ControllerService::Restore: a parked update needs its target "
+        "topology and execute_updates");
+  }
+  if (topo.NumSites() > 0) topology_ = std::move(topo);
+  admission_.FinishRestore();
+  // The standby completes the crashed slot before accepting new work.
+  if (parked_) ProgressSlot();
 }
 
 }  // namespace owan::service

@@ -19,6 +19,7 @@
 #include "sim/progress.h"
 #include "sim/simulator.h"
 #include "topo/topologies.h"
+#include "update/intent_log.h"
 #include "workload/stream.h"
 
 namespace owan::service {
@@ -88,16 +89,19 @@ struct ServiceStats {
   std::vector<std::pair<double, double>> slot_throughput;
 };
 
-// The controller's slot loop: a persistent event loop around a TE scheme
-// on a deterministic virtual clock. Online, it consumes a request stream,
-// gates arrivals through admission control and recomputes the TE state in
-// batches instead of every slot; epoch snapshots ("owan-checkpoint v4")
-// capture the request-stream state so a crashed service resumes
-// bit-identically. In passthrough mode it is the batch simulator
-// (sim::RunSimulation), and then also owns a mutable plant: fault events
-// interrupt slots, a crashed controller leaves the data plane on frozen
-// rates, updates run through the update executor, and every interval is
-// checked against fault::InvariantChecker.
+// The Owan controller (§3.1): a persistent event loop around a TE scheme
+// on a deterministic virtual clock. Each slot it computes the network
+// state, applies it (optionally through the update executor) and
+// progresses transfers at the allocated rates. Online, it consumes a
+// request stream, gates arrivals through admission control and recomputes
+// the TE state in batches instead of every slot. In passthrough mode it is
+// the batch simulator (sim::RunSimulation), and then also owns a mutable
+// plant: fault events interrupt slots, a crashed controller leaves the
+// data plane on frozen rates, updates run through the update executor, and
+// every interval is checked against fault::InvariantChecker. Epoch
+// snapshots ("owan-checkpoint v6") capture the request-stream, plant
+// failure, fault-cursor and in-flight update state, so a standby restored
+// from one resumes bit-identically (§3.4).
 //
 // No wall time enters any decision: arrivals, admissions, retries, and
 // recomputes are all keyed to the virtual clock, so two runs with the same
@@ -105,17 +109,27 @@ struct ServiceStats {
 // asserts.
 class ControllerService {
  public:
+  // Online or passthrough per `options`, with no fault schedule, update
+  // execution or invariant checks.
   ControllerService(const topo::Wan* wan,
                     std::unique_ptr<core::TeScheme> scheme,
                     ServiceOptions options = {});
+  // A passthrough service fed by Submit() with the settings of a batch
+  // run: `sim` supplies the slot timing, the fault schedule, update
+  // execution (actuation and retry models, the crash hook) and invariant
+  // checks. For callers that interleave Submit, ReportFault and Checkpoint
+  // with Step.
+  ControllerService(const topo::Wan* wan,
+                    std::unique_ptr<core::TeScheme> scheme,
+                    const sim::SimOptions& sim);
   // The batch simulator: passthrough mode driving the caller's scheme over
   // `requests` exactly as given (ids may repeat, arrivals need not be
   // sorted; a request is admitted once it and every request before it has
   // arrived). `sim` supplies the slot timing plus the fault schedule,
-  // update execution and invariant-check settings, which no other
-  // constructor enables. `wan` must outlive the service; the plant is
-  // copied only when the first plant fault lands. Finished transfers go
-  // straight into the result ToSimResult() returns.
+  // update execution and invariant-check settings, as above. `wan` must
+  // outlive the service; the plant is copied only when the first plant
+  // fault lands. Finished transfers go straight into the result
+  // ToSimResult() returns.
   ControllerService(const topo::Wan* wan, core::TeScheme& scheme,
                     const std::vector<core::Request>& requests,
                     const sim::SimOptions& sim);
@@ -132,6 +146,10 @@ class ControllerService {
   // arrival order). Usable alongside or instead of a stream.
   void Submit(const core::Request& r);
 
+  // One event-loop iteration: one interval, one idle clock jump, or the
+  // rest of a slot whose update the crash hook parked. Returns false when
+  // all attached work is drained.
+  bool Step();
   // Runs the event loop until all attached work is decided and drained, or
   // the virtual clock hits max_time_s. Resumable: more Submits (or a
   // Restore) followed by another Run continue the same timeline.
@@ -141,9 +159,27 @@ class ControllerService {
   // checkpoint/restore tests. Run() continues afterwards.
   void RunUntilIngested(uint64_t n);
 
+  // Applies a plant failure or repair the optical layer reports, at now():
+  // the step a scheduled plant event takes (the plant is copied at the
+  // first one; fault::ApplyPlantEvent; the topology is re-realized over
+  // the survivors, re-pairing dark ports while the controller is up), and
+  // the next slot recomputes. A repeated or stale report changes nothing;
+  // a parked slot finishes first. Controller crash/recover events come
+  // only from the fault schedule.
+  // Online admission keeps booking against the default topology after a
+  // report: the ledger does not follow the plant.
+  void ReportFault(const fault::FaultEvent& e);
+
   const ServiceStats& stats() const { return stats_; }
   double now() const { return now_; }
   const core::Topology& topology() const { return topology_; }
+  // The plant with every fault applied so far.
+  const optical::OpticalNetwork& plant() const {
+    return plant_ ? *plant_ : wan_->optical;
+  }
+  // True while a crashed update holds its slot (see
+  // sim::SimOptions::crash_after_wal_records).
+  bool update_parked() const { return parked_ != nullptr; }
   const AdmissionController& admission() const { return admission_; }
   uint64_t ingested() const { return stats_.requests; }
   int active_transfers() const { return static_cast<int>(active_order_.size()); }
@@ -163,12 +199,23 @@ class ControllerService {
   // Force the next progressed slot to recompute (the fault-event trigger).
   void ForceRecompute() { force_recompute_ = true; }
 
-  // ---- epoch snapshots (checkpoint v4) ----
+  // ---- epoch snapshots ("owan-checkpoint v6") ----
+  // No wall-clock value enters a checkpoint, so two same-seed runs write
+  // identical bytes. The run-level fault, recovery and update metrics of
+  // ToSimResult() are not part of it.
   std::string Checkpoint() const;
+  // Rebuilds a service from a checkpoint, with the options the original
+  // was built with. A slot parked mid-update finishes before Restore
+  // returns, so the standby is indistinguishable from a controller that
+  // never crashed.
   static ControllerService Restore(const topo::Wan* wan,
                                    std::unique_ptr<core::TeScheme> scheme,
                                    const std::string& checkpoint,
                                    ServiceOptions options = {});
+  static ControllerService Restore(const topo::Wan* wan,
+                                   std::unique_ptr<core::TeScheme> scheme,
+                                   const std::string& checkpoint,
+                                   const sim::SimOptions& sim);
 
  private:
   enum class Verdict : uint8_t {
@@ -191,22 +238,40 @@ class ControllerService {
     double completed_at = -1.0;
   };
 
+  // A slot whose executed update the crash hook stopped: the TE output it
+  // was installing and the executor's write-ahead intent log so far.
+  struct ParkedUpdate {
+    core::TeOutput output;
+    update::IntentLog wal;
+  };
+
   ControllerService(const topo::Wan* wan, core::TeScheme* scheme,
                     ServiceOptions options);
 
-  // One event-loop iteration (one interval, or one idle clock jump).
-  // Returns false when all attached work is drained.
-  bool Step();
+  void RestoreState(const std::string& checkpoint);
+  optical::OpticalNetwork& MutablePlant();
+  // One fault event's effect on the controller state; true when the plant
+  // changed.
+  bool ApplyFault(const fault::FaultEvent& e);
+  void AfterFaults(bool plant_changed);
   void ApplyDueFaults();
   void IngestArrivals();
   void DecideAndActivate(int key, const core::Request& r,
                          double decision_time);
   void ExpireAndRetryPending();
   void ProgressSlot();
-  void Recompute(const core::TeInput& input, double dur, double total_demand,
+  // Compute + Install. Both return false when the update parked.
+  bool Recompute(const core::TeInput& input, double dur, double total_demand,
                  core::TeOutput& output, std::set<sim::LinkKey>& changed);
-  void ExecuteUpdate(const core::TeInput& input, double dur,
-                     core::TeOutput& output, std::set<sim::LinkKey>& changed);
+  // Applies a computed TE output: the topology change (executed, or at
+  // once), the installed and frozen routes, the recompute bookkeeping.
+  // With `wal`, a parked update resumes from its log instead.
+  bool Install(const core::TeInput& input, double dur, double total_demand,
+               core::TeOutput& output, std::set<sim::LinkKey>& changed,
+               const update::IntentLog* wal);
+  bool ExecuteUpdate(const core::TeInput& input, double dur,
+                     core::TeOutput& output, std::set<sim::LinkKey>& changed,
+                     const update::IntentLog* wal);
   bool ShouldRecompute() const;
   void FinalizeDecision(Record& rec, Verdict v, double decision_time);
   void FinalizeCompletion(int key, Record& rec);
@@ -217,9 +282,6 @@ class ControllerService {
   static sim::TransferRecord Outcome(const Record& rec);
 
   Record* FindRecord(int key);
-  const optical::OpticalNetwork& plant() const {
-    return plant_ ? *plant_ : wan_->optical;
-  }
 
   const topo::Wan* wan_;
   std::unique_ptr<core::TeScheme> owned_scheme_;
@@ -246,7 +308,7 @@ class ControllerService {
   std::optional<workload::ArrivalStream> stream_;
   uint64_t stream_limit_ = 0;
   uint64_t stream_consumed_ = 0;
-  // Cursor recovered from a v4 checkpoint before AttachStream is called.
+  // Cursor recovered from a checkpoint before AttachStream is called.
   uint64_t stream_resume_cursor_ = 0;
   std::deque<std::pair<int, core::Request>> queued_;
 
@@ -262,16 +324,18 @@ class ControllerService {
   double last_recompute_demand_ = 0.0;
   bool force_recompute_ = false;
 
-  // ---- the batch simulator's run (batch constructor only) ----
+  // ---- faults, updates and the batch simulator's run ----
   bool batch_ = false;
-  // Outcomes by input position, written as transfers finish (their records
-  // are dropped then), plus the fault, recovery, update and violation
-  // metrics of the run.
+  // Outcomes by input position (batch constructor only), written as
+  // transfers finish (their records are dropped then), plus the fault,
+  // recovery, update and violation metrics of the run.
   sim::SimResult result_;
   size_t next_fault_ = 0;  // cursor into sim_.faults
   bool controller_up_ = true;
   // Routes in force on the plant: the old routes an executed update drains.
   std::vector<core::TransferAllocation> installed_;
+  // Set by the crash hook; the next Step (or Restore) finishes the slot.
+  std::unique_ptr<ParkedUpdate> parked_;
   fault::InvariantChecker checker_;
   // Recovery episode: opened when a fault batch lands on live transfers,
   // closed when allocated rate regains its pre-fault level or the affected

@@ -46,7 +46,13 @@ struct SimOptions {
   bool execute_updates = false;
   fault::ActuationModel actuation;
   update::RetryPolicy retry;
-  int update_wave_size = 4;
+  // Test hook for a controller crash in the middle of an executed update:
+  // once the update's write-ahead intent log holds this many records the
+  // slot parks — clock, transfers and frozen rates keep their pre-update
+  // values — and a checkpoint taken then carries the log. The next Step(),
+  // or a Restore() of that checkpoint, replays the log and finishes the
+  // slot. Negative = never crash.
+  int crash_after_wal_records = -1;
 };
 
 // Outcome for one transfer after the run.

@@ -33,7 +33,7 @@ UpdateExecutor::UpdateExecutor(ExecutorInput input, ExecutorOptions options)
       from_(std::move(input.from)),
       old_routes_(std::move(input.old_routes)),
       new_routes_(std::move(input.new_routes)),
-      staged_(BuildStagedPlan(input.plan, options.wave_size)),
+      staged_(BuildStagedPlan(input.plan, kWaveSize)),
       lit_(from_),
       spare_ports_(std::move(input.spare_ports)) {
   const size_t n = staged_.plan.ops.size();
@@ -118,8 +118,8 @@ bool UpdateExecutor::Step() {
   return !terminal_;
 }
 
-bool UpdateExecutor::StepUntil(double t_limit) {
-  while (!terminal_) {
+bool UpdateExecutor::StepUntil(double t_limit, size_t max_log_records) {
+  while (!terminal_ && log_.records.size() < max_log_records) {
     if (!StepOnce(t_limit)) break;  // next action lies beyond t_limit
   }
   return terminal_;
@@ -643,14 +643,12 @@ void UpdateExecutor::ApplyOpCancelled(int op, double t) {
 void UpdateExecutor::ApplyStage(double t) {
   RecomputeEffectiveRates();
   stats_.stage_checks++;
-  if (options_.check_stage_invariants) {
-    for (std::string& v : fault::InvariantChecker::CheckUpdateStage(
-             lit_, options_.theta, InstalledAllocations(),
-             /*check_capacity=*/true)) {
-      std::ostringstream os;
-      os << "t=" << t << ": " << v;
-      violations_.push_back(os.str());
-    }
+  for (std::string& v : fault::InvariantChecker::CheckUpdateStage(
+           lit_, options_.theta, InstalledAllocations(),
+           /*check_capacity=*/true)) {
+    std::ostringstream os;
+    os << "t=" << t << ": " << v;
+    violations_.push_back(os.str());
   }
   dirty_ = false;
 }

@@ -35,11 +35,8 @@ struct ExecutorOptions {
   // bit-for-bit (same makespan, same op timeline).
   fault::ActuationModel actuation;
   RetryPolicy retry;
-  int wave_size = 4;
   // Wavelength capacity (Gbps) for mid-update rate clamping + stage checks.
   double theta = 10.0;
-  // Run fault::InvariantChecker::CheckUpdateStage at every stage boundary.
-  bool check_stage_invariants = true;
   // Safe-abort once more than this many ops permanently fail (< 0 = no
   // cap; loss of all connectivity for a live transfer still aborts).
   int max_failed_ops = -1;
@@ -116,7 +113,7 @@ struct ExecResult {
 //     ops are undone in reverse completion order (which preserves
 //     make-before-break automatically), with unlimited retries, until the
 //     plant is bit-identical to (from, old_routes).
-//   * Every stage boundary recomputes clamped rates and (optionally) runs
+//   * Every stage boundary recomputes clamped rates and runs
 //     fault::InvariantChecker::CheckUpdateStage.
 //
 // Every decision is appended to a write-ahead IntentLog before it takes
@@ -134,8 +131,11 @@ class UpdateExecutor {
   // Advances by one decision or event batch. Returns false once the run
   // is terminal.
   bool Step();
-  // Processes every event with time <= t_limit; returns done().
-  bool StepUntil(double t_limit);
+  // Processes every event with time <= t_limit, stopping early once the
+  // intent log holds `max_log_records` records (a controller crash between
+  // two steps); returns done().
+  bool StepUntil(double t_limit,
+                 size_t max_log_records = std::numeric_limits<size_t>::max());
   bool done() const { return terminal_; }
   double now() const { return now_; }
   const IntentLog& log() const { return log_; }

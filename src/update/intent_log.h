@@ -10,8 +10,9 @@ namespace owan::update {
 // record *before* acting on each decision; replaying a prefix of the log
 // through the same state-transition code reconstructs the exact mid-update
 // state, so a controller crash between any two records recovers to a
-// consistent plant and deterministically finishes the update (checkpoint
-// v3 carries the log, see control::Controller).
+// consistent plant and deterministically finishes the update (a
+// service::ControllerService checkpoint taken while an update is parked
+// carries the log).
 //
 // Attempt outcomes are not logged: they are pure functions of
 // (actuation seed, op, attempt), so kAttemptStart is enough to re-derive

@@ -42,6 +42,9 @@ struct StagedPlan {
 
 StagedPlan BuildStagedPlan(const UpdatePlan& plan, int wave_size);
 
+// Circuits per wave for consistent updates, planned and executed alike.
+inline constexpr int kWaveSize = 4;
+
 // Dionysus deadlock breaking, shared by the scheduler and the executor:
 // when no op can start and none is running, the pending op with the fewest
 // unmet deps is forced (op-id tie-break). Exception: if that victim still
@@ -73,7 +76,8 @@ Schedule ScheduleOneShot(const UpdatePlan& plan);
 // If the dependency graph stalls (cyclic resource waits), the op with the
 // fewest unmet dependencies is forced, mirroring Dionysus' deadlock
 // breaking.
-Schedule ScheduleConsistent(const UpdatePlan& plan, int wave_size = 4);
+Schedule ScheduleConsistent(const UpdatePlan& plan,
+                            int wave_size = kWaveSize);
 
 // Total throughput (Gbps) over time while the schedule executes: transfers
 // keep sending on every installed-and-lit path, redistributing up to the

@@ -300,7 +300,7 @@ TEST(ServiceOnline, ForceRecomputeOverridesStaleness) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: same-seed fingerprints and checkpoint-v4 crash/resume
+// Determinism: same-seed fingerprints and checkpoint crash/resume
 // ---------------------------------------------------------------------------
 
 workload::StreamParams StreamParamsFor(uint64_t seed) {
@@ -388,7 +388,7 @@ TEST(ServiceDeterminism, RestoreRejectsCorruptSnapshots) {
                std::invalid_argument);
   EXPECT_THROW(
       ControllerService::Restore(&wan, std::make_unique<te::GreedyOwanTe>(),
-                                 "owan-checkpoint v4\nbogus-tag 1 2 3\n",
+                                 "owan-checkpoint v6\nbogus-tag 1 2 3\n",
                                  OnlineOpts()),
       std::invalid_argument);
 }

@@ -66,7 +66,6 @@ TEST(UpdateExecutorTest, NominalParityWithScheduler) {
   Schedule want = ScheduleConsistent(in.plan, /*wave_size=*/4);
 
   ExecutorOptions opts;
-  opts.wave_size = 4;
   ExecResult res = UpdateExecutor::ExecutePlan(in, opts);
 
   EXPECT_EQ(res.outcome, ExecOutcome::kConverged);
