@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "core/provisioned_state.h"
@@ -9,16 +10,48 @@
 namespace owan::control {
 
 namespace {
+
 constexpr double kEps = 1e-9;
+
+// Greedy split of `rate` over the ledger's k shortest paths, shortest
+// first: each takes the least rate its edges have free in every slot of
+// [first, last], net of the paths before it, and holds it on `ledger`.
+// Appends the paths taken; returns the rate left over.
+double Pack(service::AdmissionController& ledger, net::NodeId src,
+            net::NodeId dst, double rate, int64_t first, int64_t last,
+            std::vector<core::PathAllocation>& paths) {
+  const double slot_seconds = ledger.slot_seconds();
+  double remaining = rate;
+  for (const net::Path& p : ledger.Paths(src, dst)) {
+    if (remaining <= kEps) break;
+    double take = remaining;
+    for (int64_t s = first; s <= last && take > kEps; ++s) {
+      for (net::EdgeId e : p.edges) {
+        take = std::min(take, ledger.Free(s, e) / slot_seconds);
+      }
+    }
+    take = std::max(0.0, take);
+    if (take <= kEps) continue;
+    for (int64_t s = first; s <= last; ++s) {
+      ledger.Hold(s, p.edges, take * slot_seconds);
+    }
+    paths.push_back(core::PathAllocation{p, take});
+    remaining -= take;
+  }
+  return remaining;
 }
+
+}  // namespace
 
 ReservationService::ReservationService(const core::Topology& topology,
                                        const optical::OpticalNetwork& optical,
                                        ReservationOptions options)
     : topology_(topology),
-      graph_(topology.ToGraph(optical.wavelength_capacity())),
       optical_(optical),
-      options_(options) {
+      options_(options),
+      ledger_(topology.ToGraph(optical.wavelength_capacity()),
+              service::AdmissionOptions{options.slot_seconds,
+                                        options.k_paths}) {
   if (options_.slot_seconds <= 0.0) {
     throw std::invalid_argument("ReservationService: slot_seconds > 0");
   }
@@ -29,24 +62,6 @@ ReservationService::ReservationService(const core::Topology& topology,
   optical_ = seed.optical();
 }
 
-std::vector<double>& ReservationService::SlotResidual(int64_t slot) {
-  auto it = residual_.find(slot);
-  if (it == residual_.end()) {
-    std::vector<double> caps(static_cast<size_t>(graph_.NumEdges()));
-    for (net::EdgeId e = 0; e < graph_.NumEdges(); ++e) {
-      caps[static_cast<size_t>(e)] = graph_.edge(e).capacity;
-    }
-    it = residual_.emplace(slot, std::move(caps)).first;
-  }
-  return it->second;
-}
-
-double ReservationService::Residual(int64_t slot, net::EdgeId e) const {
-  auto it = residual_.find(slot);
-  if (it == residual_.end()) return graph_.edge(e).capacity;
-  return it->second[static_cast<size_t>(e)];
-}
-
 bool ReservationService::ValidWindow(net::NodeId src, net::NodeId dst,
                                      double rate, double start,
                                      double end) const {
@@ -54,10 +69,10 @@ bool ReservationService::ValidWindow(net::NodeId src, net::NodeId dst,
   // served (FirstSlot truncates toward zero, so negative starts silently
   // alias onto slot 0 or book negative slot keys); NaN/inf anywhere would
   // poison every residual comparison after it.
-  return src != dst && src >= 0 && dst >= 0 && src < graph_.NumNodes() &&
-         dst < graph_.NumNodes() && std::isfinite(rate) && rate > 0.0 &&
-         std::isfinite(start) && start >= 0.0 && std::isfinite(end) &&
-         end > start;
+  const int n = ledger_.graph().NumNodes();
+  return src != dst && src >= 0 && dst >= 0 && src < n && dst < n &&
+         std::isfinite(rate) && rate > 0.0 && std::isfinite(start) &&
+         start >= 0.0 && std::isfinite(end) && end > start;
 }
 
 std::optional<Reservation> ReservationService::Request(
@@ -67,23 +82,6 @@ std::optional<Reservation> ReservationService::Request(
 
   const int64_t first = FirstSlot(start);
   const int64_t last = LastSlot(end);
-  const auto paths =
-      net::KShortestPaths(graph_, src, dst, options_.k_paths);
-
-  // Per-path rate: the minimum residual across every slot of the window.
-  std::vector<double> path_rate(paths.size(), 0.0);
-  for (size_t pi = 0; pi < paths.size(); ++pi) {
-    double r = rate;
-    for (int64_t s = first; s <= last && r > kEps; ++s) {
-      for (net::EdgeId e : paths[pi].edges) {
-        r = std::min(r, Residual(s, e));
-      }
-    }
-    path_rate[pi] = std::max(0.0, r);
-  }
-
-  // Greedy split over paths (shortest first), respecting shared edges by
-  // committing tentatively slot by slot.
   Reservation res;
   res.id = next_id_;
   res.src = src;
@@ -91,33 +89,7 @@ std::optional<Reservation> ReservationService::Request(
   res.rate = rate;
   res.start = start;
   res.end = end;
-
-  double remaining = rate;
-  std::map<int64_t, std::vector<double>> tentative;
-  for (size_t pi = 0; pi < paths.size() && remaining > kEps; ++pi) {
-    double take = std::min(remaining, path_rate[pi]);
-    // Re-check against tentative bookings on shared edges.
-    for (int64_t s = first; s <= last && take > kEps; ++s) {
-      auto& tent = tentative[s];
-      if (tent.empty()) {
-        tent.assign(static_cast<size_t>(graph_.NumEdges()), 0.0);
-      }
-      for (net::EdgeId e : paths[pi].edges) {
-        take = std::min(take,
-                        Residual(s, e) - tent[static_cast<size_t>(e)]);
-      }
-    }
-    take = std::max(0.0, take);
-    if (take <= kEps) continue;
-    for (int64_t s = first; s <= last; ++s) {
-      auto& tent = tentative[s];
-      for (net::EdgeId e : paths[pi].edges) {
-        tent[static_cast<size_t>(e)] += take;
-      }
-    }
-    res.paths.push_back(core::PathAllocation{paths[pi], take});
-    remaining -= take;
-  }
+  double remaining = Pack(ledger_, src, dst, rate, first, last, res.paths);
 
   // Optical boost: if the packet topology cannot host the leftover, see
   // whether a spare circuit (one wavelength) between the endpoints could —
@@ -134,21 +106,13 @@ std::optional<Reservation> ReservationService::Request(
         ++boost_circuits_;
         res.used_extra_circuit = true;
         topology_.AddUnits(src, dst, 1);
-        const net::EdgeId e =
-            graph_.AddEdge(src, dst, 1.0, optical_.wavelength_capacity());
-        // Older slots' residual vectors must grow to cover the new edge.
-        for (auto& [slot, caps] : residual_) {
-          (void)slot;
-          caps.push_back(optical_.wavelength_capacity());
-        }
-        net::Path direct;
-        direct.nodes = {src, dst};
-        direct.edges = {e};
-        direct.length = 1.0;
+        const net::Path direct{
+            .nodes = {src, dst},
+            .edges = {ledger_.AddEdge(src, dst, 1.0,
+                                      optical_.wavelength_capacity())},
+            .length = 1.0};
         for (int64_t s = first; s <= last; ++s) {
-          auto& tent = tentative[s];
-          tent.resize(static_cast<size_t>(graph_.NumEdges()), 0.0);
-          tent[static_cast<size_t>(e)] += remaining;
+          ledger_.Hold(s, direct.edges, remaining * options_.slot_seconds);
         }
         res.paths.push_back(core::PathAllocation{direct, remaining});
         remaining = 0.0;
@@ -156,14 +120,11 @@ std::optional<Reservation> ReservationService::Request(
     }
   }
 
-  if (remaining > kEps) return std::nullopt;  // cannot guarantee
-
-  // Commit.
-  for (auto& [s, tent] : tentative) {
-    auto& caps = SlotResidual(s);
-    caps.resize(tent.size(), optical_.wavelength_capacity());
-    for (size_t e = 0; e < tent.size(); ++e) caps[e] -= tent[e];
+  if (remaining > kEps) {  // cannot guarantee
+    ledger_.Abandon();
+    return std::nullopt;
   }
+  ledger_.Commit(res.id);
   ++next_id_;
   reservations_.emplace(res.id, res);
   return res;
@@ -174,15 +135,7 @@ void ReservationService::Release(int reservation_id) {
   if (it == reservations_.end()) {
     throw std::invalid_argument("ReservationService: unknown reservation");
   }
-  const Reservation& res = it->second;
-  for (int64_t s = FirstSlot(res.start); s <= LastSlot(res.end); ++s) {
-    auto& caps = SlotResidual(s);
-    for (const core::PathAllocation& pa : res.paths) {
-      for (net::EdgeId e : pa.path.edges) {
-        caps[static_cast<size_t>(e)] += pa.rate;
-      }
-    }
-  }
+  ledger_.ReleaseFrom(reservation_id, FirstSlot(it->second.start));
   // Note: boost circuits stay lit until released topology-side; keeping
   // them is harmless for correctness (capacity only grows).
   reservations_.erase(it);
@@ -194,28 +147,14 @@ double ReservationService::AvailableRate(net::NodeId src, net::NodeId dst,
   // src == dst or a degenerate window can obtain nothing, not "the k
   // shortest self-loops' worth of capacity".
   if (!ValidWindow(src, dst, 1.0, start, end)) return 0.0;
-  const auto paths = net::KShortestPaths(graph_, src, dst, options_.k_paths);
-  // Greedy commit over a scratch ledger — the same procedure admission
-  // uses, so the answer is exactly what a Request could obtain.
-  std::map<net::EdgeId, double> scratch;  // window-min residual per edge
-  auto window_min = [&](net::EdgeId e) {
-    auto it = scratch.find(e);
-    if (it != scratch.end()) return it->second;
-    double r = graph_.edge(e).capacity;
-    for (int64_t s = FirstSlot(start); s <= LastSlot(end); ++s) {
-      r = std::min(r, Residual(s, e));
-    }
-    scratch[e] = r;
-    return r;
-  };
+  // Request's own packing on a scratch copy of the ledger, so the answer is
+  // exactly what a Request could obtain.
+  service::AdmissionController scratch = ledger_;
+  std::vector<core::PathAllocation> paths;
+  Pack(scratch, src, dst, std::numeric_limits<double>::infinity(),
+       FirstSlot(start), LastSlot(end), paths);
   double total = 0.0;
-  for (const net::Path& p : paths) {
-    double r = 1e18;
-    for (net::EdgeId e : p.edges) r = std::min(r, window_min(e));
-    if (r >= 1e18 || r <= 0.0) continue;
-    for (net::EdgeId e : p.edges) scratch[e] -= r;
-    total += r;
-  }
+  for (const core::PathAllocation& pa : paths) total += pa.rate;
   return total;
 }
 

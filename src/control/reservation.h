@@ -7,17 +7,17 @@
 
 #include "core/topology.h"
 #include "core/transfer.h"
-#include "net/shortest_path.h"
 #include "optical/optical_network.h"
+#include "service/admission.h"
 
 namespace owan::control {
 
 // Bandwidth reservations (the paper's §6 future-work direction): clients
 // book a guaranteed rate between two sites over a time window, the WAN
-// analogue of cloud bandwidth guarantees. Admission is checked against a
-// per-slot capacity ledger over the network-layer topology; when the fixed
-// topology cannot host a request, the service optionally asks the optical
-// layer whether an extra circuit could be lit for the window — the
+// analogue of cloud bandwidth guarantees. A guarantee books rate × slot
+// length in every slot its window overlaps on an admission ledger over the
+// network-layer topology; when that topology is full, the service may ask
+// the optical layer to light an extra circuit for the window — the
 // "reconfigurability improves reservations" idea the paper sketches.
 struct Reservation {
   int id = -1;
@@ -67,15 +67,13 @@ class ReservationService {
     return reservations_;
   }
   int BoostCircuits() const { return boost_circuits_; }
+  const service::AdmissionController& ledger() const { return ledger_; }
 
  private:
   // Shared admission guard: real endpoints, positive finite rate, and a
   // non-empty window that does not start in the past.
   bool ValidWindow(net::NodeId src, net::NodeId dst, double rate,
                    double start, double end) const;
-  // Residual capacity per edge for one slot (lazily at full capacity).
-  std::vector<double>& SlotResidual(int64_t slot);
-  double Residual(int64_t slot, net::EdgeId e) const;
 
   int64_t FirstSlot(double start) const {
     return static_cast<int64_t>(start / options_.slot_seconds);
@@ -86,11 +84,10 @@ class ReservationService {
   }
 
   core::Topology topology_;
-  net::Graph graph_;
   optical::OpticalNetwork optical_;
   ReservationOptions options_;
 
-  std::map<int64_t, std::vector<double>> residual_;  // slot -> per-edge Gbps
+  service::AdmissionController ledger_;  // bookings keyed by reservation id
   std::map<int, Reservation> reservations_;
   int next_id_ = 0;
   int boost_circuits_ = 0;

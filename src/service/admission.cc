@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "net/shortest_path.h"
 #include "obs/obs.h"
@@ -13,12 +12,26 @@ namespace {
 constexpr double kEps = 1e-7;
 }
 
-AdmissionController::AdmissionController(const net::Graph& fixed_topology,
+AdmissionController::AdmissionController(const net::Graph& topology,
                                          AdmissionOptions options)
-    : topo_(fixed_topology), options_(options) {}
+    : topo_(topology), options_(options) {}
 
 int64_t AdmissionController::SlotIndex(double t) const {
   return static_cast<int64_t>(std::floor((t + 1e-9) / options_.slot_seconds));
+}
+
+int64_t AdmissionController::FirstUsableSlot(double now) const {
+  return static_cast<int64_t>(std::ceil((now - 1e-9) / options_.slot_seconds));
+}
+
+int64_t AdmissionController::LastUsableSlot(double deadline) const {
+  return static_cast<int64_t>(std::floor(deadline / options_.slot_seconds)) -
+         1;
+}
+
+bool AdmissionController::WindowClosed(const core::Request& r,
+                                       double now) const {
+  return r.HasDeadline() && LastUsableSlot(r.deadline) < FirstUsableSlot(now);
 }
 
 std::vector<double>& AdmissionController::SlotResidual(int64_t slot) {
@@ -34,6 +47,76 @@ std::vector<double>& AdmissionController::SlotResidual(int64_t slot) {
   return it->second;
 }
 
+const std::vector<net::Path>& AdmissionController::Paths(
+    net::NodeId src, net::NodeId dst) const {
+  auto key = std::make_pair(src, dst);
+  auto it = path_cache_.find(key);
+  if (it == path_cache_.end()) {
+    it = path_cache_
+             .emplace(key,
+                      net::KShortestPaths(topo_, src, dst, options_.k_paths))
+             .first;
+  }
+  return it->second;
+}
+
+double AdmissionController::Free(int64_t slot, net::EdgeId e) const {
+  const auto rit = residual_.find(slot);
+  double free = rit == residual_.end()
+                    ? topo_.edge(e).capacity * options_.slot_seconds
+                    : rit->second[static_cast<size_t>(e)];
+  const auto hit = held_.find(slot);
+  if (hit != held_.end()) free -= hit->second[static_cast<size_t>(e)];
+  return free;
+}
+
+std::vector<double>& AdmissionController::HeldIn(int64_t slot) {
+  std::vector<double>& held = held_[slot];
+  if (held.empty()) held.assign(static_cast<size_t>(topo_.NumEdges()), 0.0);
+  return held;
+}
+
+void AdmissionController::Hold(int64_t slot,
+                               const std::vector<net::EdgeId>& edges,
+                               double volume) {
+  std::vector<double>& held = HeldIn(slot);
+  for (net::EdgeId e : edges) held[static_cast<size_t>(e)] += volume;
+  held_bookings_[slot].push_back(Booking{edges, volume});
+}
+
+void AdmissionController::Commit(int id) {
+  for (auto& [s, held] : held_) {
+    std::vector<double>& res = SlotResidual(s);
+    for (size_t e = 0; e < res.size(); ++e) res[e] -= held[e];
+  }
+  reservations_[id] = std::move(held_bookings_);
+  Abandon();
+}
+
+void AdmissionController::Abandon() {
+  held_.clear();
+  held_bookings_.clear();
+}
+
+net::EdgeId AdmissionController::AddEdge(net::NodeId u, net::NodeId v,
+                                         double weight, double capacity) {
+  const net::EdgeId e = topo_.AddEdge(u, v, weight, capacity);
+  for (auto& [s, res] : residual_) {
+    res.push_back(capacity * options_.slot_seconds);
+  }
+  for (auto& [s, held] : held_) held.push_back(0.0);
+  path_cache_.clear();
+  return e;
+}
+
+const std::vector<AdmissionController::Booking>* AdmissionController::Bookings(
+    int id, int64_t slot) const {
+  const auto rit = reservations_.find(id);
+  if (rit == reservations_.end()) return nullptr;
+  const auto sit = rit->second.find(slot);
+  return sit == rit->second.end() ? nullptr : &sit->second;
+}
+
 Admission AdmissionController::Offer(const core::Request& r, double now) {
   if (!r.HasDeadline()) {
     // Best-effort traffic is never gated — it rides leftover capacity.
@@ -41,50 +124,26 @@ Admission AdmissionController::Offer(const core::Request& r, double now) {
     return Admission::kAdmitted;
   }
 
-  auto key = std::make_pair(r.src, r.dst);
-  auto pit = path_cache_.find(key);
-  if (pit == path_cache_.end()) {
-    pit = path_cache_
-              .emplace(key, net::KShortestPaths(topo_, r.src, r.dst,
-                                                options_.k_paths))
-              .first;
-  }
-  const std::vector<net::Path>& paths = pit->second;
-  if (paths.empty()) {
-    ++rejected_;
-    return Admission::kRejected;
-  }
-
-  // The transfer can use the full slots between its first boundary at or
-  // after `now` (it activates at a slot boundary) and its deadline.
-  const int64_t first =
-      static_cast<int64_t>(std::ceil((now - 1e-9) / options_.slot_seconds));
-  const int64_t last =
-      static_cast<int64_t>(std::floor(r.deadline / options_.slot_seconds)) -
-      1;
-  if (last < first) {
+  const std::vector<net::Path>& paths = Paths(r.src, r.dst);
+  if (paths.empty() || WindowClosed(r, now)) {
     ++rejected_;
     return Admission::kRejected;
   }
 
   double remaining = r.size;
-  std::map<int64_t, std::vector<EdgeVolume>> plan;
-  std::map<int64_t, std::vector<double>> tentative;
-
-  for (int64_t s = first; s <= last && remaining > kEps; ++s) {
-    std::vector<double>& res = SlotResidual(s);
-    std::vector<double>& tent = tentative[s];
-    if (tent.empty()) tent.assign(res.size(), 0.0);
+  const int64_t last = LastUsableSlot(r.deadline);
+  for (int64_t s = FirstUsableSlot(now); s <= last && remaining > kEps; ++s) {
+    const std::vector<double>& res = SlotResidual(s);
+    std::vector<double>& held = HeldIn(s);
     for (const net::Path& p : paths) {
       if (remaining <= kEps) break;
       double avail = remaining;
       for (net::EdgeId e : p.edges) {
         avail = std::min(avail, res[static_cast<size_t>(e)] -
-                                    tent[static_cast<size_t>(e)]);
+                                    held[static_cast<size_t>(e)]);
       }
       if (avail <= kEps) continue;
-      for (net::EdgeId e : p.edges) tent[static_cast<size_t>(e)] += avail;
-      plan[s].push_back(EdgeVolume{p.edges, avail});
+      Hold(s, p.edges, avail);
       remaining -= avail;
     }
   }
@@ -92,36 +151,36 @@ Admission AdmissionController::Offer(const core::Request& r, double now) {
   if (remaining > kEps) {
     // Not rejected outright: the window is open and a Release may free
     // enough future capacity. The caller queues it and re-offers.
+    Abandon();
     return Admission::kPending;
   }
 
-  for (auto& [s, tent] : tentative) {
-    std::vector<double>& res = SlotResidual(s);
-    for (size_t e = 0; e < res.size(); ++e) res[e] -= tent[e];
-  }
-  reservations_[r.id] = std::move(plan);
+  Commit(r.id);
   ++admitted_;
   OWAN_COUNT("service.admission_booked");
   return Admission::kAdmitted;
 }
 
 double AdmissionController::Release(int id, double now) {
+  // The slot containing `now` (and everything before it) has already been
+  // spent serving the transfer; only strictly-future slots come back.
+  return ReleaseFrom(id, SlotIndex(now) + 1);
+}
+
+double AdmissionController::ReleaseFrom(int id, int64_t first_slot) {
   auto it = reservations_.find(id);
   if (it == reservations_.end()) return 0.0;
-  const int64_t current = SlotIndex(now);
   double released = 0.0;
-  // The slot containing `now` (and everything before it) has already been
-  // spent serving the transfer; only strictly-future slots come back. The
-  // elapsed bookings stay in the table — the residual ledger still reflects
-  // them, so dropping them here would make Audit() see phantom drift —
-  // until GarbageCollect retires slot and ledger together.
+  // Bookings before `first_slot` stay in the table — the residual ledger
+  // still reflects them, so dropping them here would make Audit() see
+  // phantom drift — until GarbageCollect retires slot and ledger together.
   auto& slots = it->second;
-  for (auto sit = slots.upper_bound(current); sit != slots.end();
+  for (auto sit = slots.lower_bound(first_slot); sit != slots.end();
        sit = slots.erase(sit)) {
     std::vector<double>& res = SlotResidual(sit->first);
-    for (const EdgeVolume& ev : sit->second) {
-      for (net::EdgeId e : ev.edges) res[static_cast<size_t>(e)] += ev.volume;
-      released += ev.volume;
+    for (const Booking& b : sit->second) {
+      for (net::EdgeId e : b.edges) res[static_cast<size_t>(e)] += b.volume;
+      released += b.volume;
     }
   }
   if (slots.empty()) reservations_.erase(it);
@@ -153,7 +212,7 @@ std::vector<std::string> AdmissionController::Audit() const {
     for (const auto& [s, evs] : slots) {
       std::vector<double>& b = booked[s];
       if (b.empty()) b.assign(static_cast<size_t>(topo_.NumEdges()), 0.0);
-      for (const EdgeVolume& ev : evs) {
+      for (const Booking& ev : evs) {
         for (net::EdgeId e : ev.edges) b[static_cast<size_t>(e)] += ev.volume;
       }
     }
@@ -194,7 +253,7 @@ void AdmissionController::Checkpoint(std::ostream& os) const {
     os << "aresv " << id << " " << slots.size() << "\n";
     for (const auto& [s, evs] : slots) {
       os << "aslot " << s << " " << evs.size() << "\n";
-      for (const EdgeVolume& ev : evs) {
+      for (const Booking& ev : evs) {
         os << "abook " << ev.volume << " " << ev.edges.size();
         for (net::EdgeId e : ev.edges) os << " " << e;
         os << "\n";
@@ -228,7 +287,7 @@ bool AdmissionController::RestoreLine(const std::string& tag,
       ls.setstate(std::ios::failbit);
     }
   } else if (tag == "abook") {
-    EdgeVolume ev;
+    Booking ev;
     size_t n = 0;
     ls >> ev.volume >> n;
     for (size_t k = 0; k < n && !ls.fail(); ++k) {
@@ -249,7 +308,7 @@ void AdmissionController::FinishRestore() {
   for (const auto& [id, slots] : reservations_) {
     for (const auto& [s, evs] : slots) {
       std::vector<double>& res = SlotResidual(s);
-      for (const EdgeVolume& ev : evs) {
+      for (const Booking& ev : evs) {
         for (net::EdgeId e : ev.edges) {
           res[static_cast<size_t>(e)] -= ev.volume;
         }

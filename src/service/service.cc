@@ -163,15 +163,11 @@ ControllerService::ControllerService(const topo::Wan* wan,
       topology_(wan->default_topology),
       admission_(wan->default_topology.ToGraph(
                      wan->optical.wavelength_capacity()),
-                 [&options] {
-                   AdmissionOptions a = options.admission;
-                   a.slot_seconds = options.slot_seconds;
-                   return a;
-                 }()) {
+                 AdmissionOptions{options.slot_seconds,
+                                  options.admission_k_paths}) {
   if (scheme_ == nullptr) {
     throw std::invalid_argument("ControllerService: null scheme");
   }
-  options_.admission.slot_seconds = options_.slot_seconds;
 }
 
 ControllerService::ControllerService(const topo::Wan* wan,
@@ -363,16 +359,10 @@ void ControllerService::ExpireAndRetryPending() {
     return;
   }
 
-  const int64_t first_usable = static_cast<int64_t>(
-      std::ceil((now_ - 1e-9) / options_.slot_seconds));
   std::deque<int> keep;
   for (int id : pending_) {
     Record* rec = FindRecord(id);
-    const int64_t last =
-        static_cast<int64_t>(
-            std::floor(rec->request.deadline / options_.slot_seconds)) -
-        1;
-    if (last < first_usable) {
+    if (admission_.WindowClosed(rec->request, now_)) {
       // The deadline window closed while waiting — a firm reject.
       FinalizeDecision(*rec, Verdict::kRejected, now_);
       ++stats_.pending_rejected;
@@ -919,6 +909,24 @@ std::string ControllerService::Checkpoint() const {
   if (!sim_.faults.empty()) {
     os << "faults " << next_fault_ << " " << controller_up_ << "\n";
   }
+  // The run-level metrics of ToSimResult(): faults, recovery episodes (the
+  // open one included), the update counters once an update ran, and the
+  // invariant violations.
+  os << "sim-faults " << result_.fault_events << " "
+     << result_.gigabits_lost_to_faults << " " << recovering_ << " "
+     << recover_start_ << " " << recover_baseline_ << " " << last_slot_rate_
+     << " " << result_.recovery_seconds.size();
+  for (double s : result_.recovery_seconds) os << " " << s;
+  os << "\n";
+  if (result_.updates_executed > 0) {
+    os << "sim-updates " << result_.updates_executed << " "
+       << result_.update_aborts << " " << result_.update_retries << " "
+       << result_.update_forced_ops << " " << result_.update_exec_seconds
+       << "\n";
+  }
+  for (const std::string& v : result_.invariant_violations) {
+    os << "sim-violation " << v << "\n";
+  }
   WriteTopology(os, "topology", topology_);
   if (plant_) WritePlantFailures(os, *plant_);
   for (const auto& [key, r] : queued_) {
@@ -1036,6 +1044,22 @@ void ControllerService::RestoreState(const std::string& checkpoint) {
       ls >> stream_resume_cursor_;
     } else if (tag == "faults") {
       ls >> next_fault_ >> controller_up_;
+    } else if (tag == "sim-faults") {
+      size_t episodes = 0;
+      ls >> result_.fault_events >> result_.gigabits_lost_to_faults >>
+          recovering_ >> recover_start_ >> recover_baseline_ >>
+          last_slot_rate_ >> episodes;
+      for (size_t k = 0; k < episodes && !ls.fail(); ++k) {
+        ls >> result_.recovery_seconds.emplace_back();
+      }
+    } else if (tag == "sim-updates") {
+      ls >> result_.updates_executed >> result_.update_aborts >>
+          result_.update_retries >> result_.update_forced_ops >>
+          result_.update_exec_seconds;
+    } else if (tag == "sim-violation") {
+      std::string& text = result_.invariant_violations.emplace_back();
+      std::getline(ls, text);
+      text.erase(0, 1);  // the separating space
     } else if (tag == "topology" || tag == "ptopology") {
       int n = 0;
       ls >> n;

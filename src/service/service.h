@@ -42,7 +42,7 @@ struct ServiceOptions {
   double max_time_s = 72.0 * 3600.0;
   ServiceMode mode = ServiceMode::kOnline;
 
-  AdmissionOptions admission;  // k_paths; slot_seconds is kept in sync
+  int admission_k_paths = 3;  // paths per site pair the ledger packs over
 
   // ---- bounded-staleness recompute triggers (kOnline) ----
   // Recompute when newly-admitted demand since the last recompute exceeds
@@ -201,8 +201,7 @@ class ControllerService {
 
   // ---- epoch snapshots ("owan-checkpoint v6") ----
   // No wall-clock value enters a checkpoint, so two same-seed runs write
-  // identical bytes. The run-level fault, recovery and update metrics of
-  // ToSimResult() are not part of it.
+  // identical bytes.
   std::string Checkpoint() const;
   // Rebuilds a service from a checkpoint, with the options the original
   // was built with. A slot parked mid-update finishes before Restore

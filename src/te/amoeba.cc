@@ -1,120 +1,73 @@
 #include "te/amoeba.h"
 
 #include <algorithm>
-#include <cmath>
+#include <vector>
 
 namespace owan::te {
 
 namespace {
+
 constexpr double kEps = 1e-7;
+
+// The path a booking's edges trace from `src`.
+net::Path PathAlong(const net::Graph& g, net::NodeId src,
+                    const std::vector<net::EdgeId>& edges) {
+  net::Path p;
+  p.edges = edges;
+  p.nodes.reserve(edges.size() + 1);
+  p.nodes.push_back(src);
+  for (net::EdgeId e : edges) {
+    p.nodes.push_back(g.edge(e).Other(p.nodes.back()));
+    p.length += g.edge(e).weight;
+  }
+  return p;
 }
+
+}  // namespace
 
 AmoebaTe::AmoebaTe(const net::Graph& fixed_topology, double slot_seconds,
                    int k_paths)
-    : topo_(fixed_topology),
-      slot_seconds_(slot_seconds),
-      k_paths_(k_paths) {}
-
-std::vector<double>& AmoebaTe::SlotResidual(int64_t slot) {
-  auto it = residual_.find(slot);
-  if (it == residual_.end()) {
-    std::vector<double> caps(static_cast<size_t>(topo_.NumEdges()));
-    for (net::EdgeId e = 0; e < topo_.NumEdges(); ++e) {
-      caps[static_cast<size_t>(e)] = topo_.edge(e).capacity * slot_seconds_;
-    }
-    it = residual_.emplace(slot, std::move(caps)).first;
-  }
-  return it->second;
-}
+    : ledger_(fixed_topology,
+              service::AdmissionOptions{slot_seconds, k_paths}) {}
 
 bool AmoebaTe::Admit(const core::Request& request, double now) {
   if (!request.HasDeadline()) return true;  // only deadline traffic managed
-
-  auto key = std::make_pair(request.src, request.dst);
-  auto pit = path_cache_.find(key);
-  if (pit == path_cache_.end()) {
-    pit = path_cache_
-              .emplace(key, net::KShortestPaths(topo_, request.src,
-                                                request.dst, k_paths_))
-              .first;
-  }
-  const std::vector<net::Path>& paths = pit->second;
-  if (paths.empty()) {
+  // A pending answer (window open, capacity short) is a reject: Amoeba
+  // never re-offers.
+  if (ledger_.Offer(request, now) != service::Admission::kAdmitted) {
     ++rejected_;
     return false;
   }
-
-  // The transfer can use slots [first, last]: it arrives during slot
-  // `first` and must finish by its deadline.
-  const int64_t first = static_cast<int64_t>(now / slot_seconds_);
-  const int64_t last =
-      static_cast<int64_t>(std::floor(request.deadline / slot_seconds_)) - 1;
-  if (last < first) {
-    ++rejected_;
-    return false;
-  }
-
-  double remaining = request.size;
-  std::map<int64_t, std::vector<PathVolume>> plan;
-  // Tentative bookings so we can roll back on rejection.
-  std::map<int64_t, std::vector<double>> tentative;
-
-  for (int64_t s = first; s <= last && remaining > kEps; ++s) {
-    std::vector<double>& res = SlotResidual(s);
-    std::vector<double>& tent = tentative[s];
-    if (tent.empty()) tent.assign(res.size(), 0.0);
-    for (const net::Path& p : paths) {
-      if (remaining <= kEps) break;
-      double avail = remaining;
-      for (net::EdgeId e : p.edges) {
-        avail = std::min(avail, res[static_cast<size_t>(e)] -
-                                    tent[static_cast<size_t>(e)]);
-      }
-      if (avail <= kEps) continue;
-      for (net::EdgeId e : p.edges) tent[static_cast<size_t>(e)] += avail;
-      plan[s].push_back(PathVolume{p, avail});
-      remaining -= avail;
-    }
-  }
-
-  if (remaining > kEps) {
-    ++rejected_;
-    return false;
-  }
-
-  // Commit.
-  for (auto& [s, tent] : tentative) {
-    std::vector<double>& res = SlotResidual(s);
-    for (size_t e = 0; e < res.size(); ++e) res[e] -= tent[e];
-  }
-  reservations_[request.id] = std::move(plan);
+  booked_src_[request.id] = request.src;
   ++admitted_;
   return true;
 }
 
 core::TeOutput AmoebaTe::Compute(const core::TeInput& input) {
+  const net::Graph& g = ledger_.graph();
+  const double slot_seconds = ledger_.slot_seconds();
   core::TeOutput out;
   out.allocations.resize(input.demands.size());
-  const int64_t slot = static_cast<int64_t>(
-      (input.now + slot_seconds_ * 0.5) / slot_seconds_);
+  const int64_t slot =
+      static_cast<int64_t>((input.now + slot_seconds * 0.5) / slot_seconds);
 
   // Residual rate for best-effort traffic this slot.
-  std::vector<double> be_residual(static_cast<size_t>(topo_.NumEdges()));
-  for (net::EdgeId e = 0; e < topo_.NumEdges(); ++e) {
-    be_residual[static_cast<size_t>(e)] = topo_.edge(e).capacity;
+  std::vector<double> be_residual(static_cast<size_t>(g.NumEdges()));
+  for (net::EdgeId e = 0; e < g.NumEdges(); ++e) {
+    be_residual[static_cast<size_t>(e)] = g.edge(e).capacity;
   }
 
   for (size_t i = 0; i < input.demands.size(); ++i) {
     const core::TransferDemand& d = input.demands[i];
     out.allocations[i].id = d.id;
-    auto rit = reservations_.find(d.id);
-    if (rit == reservations_.end()) continue;
-    auto sit = rit->second.find(slot);
-    if (sit == rit->second.end()) continue;
-    for (const PathVolume& pv : sit->second) {
-      const double rate = pv.volume / slot_seconds_;
-      out.allocations[i].paths.push_back(core::PathAllocation{pv.path, rate});
-      for (net::EdgeId e : pv.path.edges) {
+    const auto* bookings = ledger_.Bookings(d.id, slot);
+    if (bookings == nullptr) continue;
+    for (const service::AdmissionController::Booking& b : *bookings) {
+      const double rate = b.volume / slot_seconds;
+      out.allocations[i].paths.push_back(
+          core::PathAllocation{PathAlong(g, booked_src_.at(d.id), b.edges),
+                               rate});
+      for (net::EdgeId e : b.edges) {
         be_residual[static_cast<size_t>(e)] =
             std::max(0.0, be_residual[static_cast<size_t>(e)] - rate);
       }
@@ -125,7 +78,7 @@ core::TeOutput AmoebaTe::Compute(const core::TeInput& input) {
   // whatever capacity the reservations left behind.
   std::vector<size_t> order;
   for (size_t i = 0; i < input.demands.size(); ++i) {
-    if (!reservations_.count(input.demands[i].id)) order.push_back(i);
+    if (!booked_src_.count(input.demands[i].id)) order.push_back(i);
   }
   std::sort(order.begin(), order.end(), [&input](size_t a, size_t b) {
     const double da = input.demands[a].deadline;
@@ -135,16 +88,8 @@ core::TeOutput AmoebaTe::Compute(const core::TeInput& input) {
   });
   for (size_t i : order) {
     const core::TransferDemand& d = input.demands[i];
-    auto key = std::make_pair(d.src, d.dst);
-    auto pit = path_cache_.find(key);
-    if (pit == path_cache_.end()) {
-      pit = path_cache_
-                .emplace(key,
-                         net::KShortestPaths(topo_, d.src, d.dst, k_paths_))
-                .first;
-    }
     double want = d.rate_cap;
-    for (const net::Path& p : pit->second) {
+    for (const net::Path& p : ledger_.Paths(d.src, d.dst)) {
       if (want <= kEps) break;
       double avail = want;
       for (net::EdgeId e : p.edges) {

@@ -1,22 +1,22 @@
 #ifndef OWAN_TE_AMOEBA_H_
 #define OWAN_TE_AMOEBA_H_
 
-#include <map>
 #include <string>
-#include <vector>
+#include <unordered_map>
 
 #include "core/te_scheme.h"
-#include "net/shortest_path.h"
+#include "service/admission.h"
 
 namespace owan::te {
 
 // "Amoeba" baseline (Zhang et al., EuroSys'15): deadline-guaranteed
 // admission control with future-slot reservations over a fixed topology.
 //
-// On arrival, the transfer's volume is greedily packed into the earliest
-// slots before its deadline along k shortest paths; if the whole volume
-// fits, the transfer is admitted and the reservations are kept, otherwise
-// it is rejected (and later served best-effort with leftover capacity).
+// On arrival, the admission ledger's Offer packs the transfer's volume into
+// the earliest whole slots before its deadline along k shortest paths. If
+// it all fits, the bookings are the rates Compute serves slot by slot and
+// are never adjusted; otherwise the transfer is rejected and later served
+// best-effort with leftover capacity.
 class AmoebaTe : public core::TeScheme {
  public:
   AmoebaTe(const net::Graph& fixed_topology, double slot_seconds,
@@ -26,27 +26,17 @@ class AmoebaTe : public core::TeScheme {
   bool Admit(const core::Request& request, double now) override;
   core::TeOutput Compute(const core::TeInput& input) override;
 
+  // Deadline requests only: best-effort ones count in neither.
   int admitted() const { return admitted_; }
   int rejected() const { return rejected_; }
+  const service::AdmissionController& ledger() const { return ledger_; }
 
  private:
-  // Residual edge capacity (gigabits of volume) for a future slot; lazily
-  // created at full capacity.
-  std::vector<double>& SlotResidual(int64_t slot);
-
-  const net::Graph topo_;
-  const double slot_seconds_;
-  const int k_paths_;
-
-  std::map<int64_t, std::vector<double>> residual_;  // slot -> per-edge Gb
-  // request id -> slot -> (path, volume Gb) reservations
-  struct PathVolume {
-    net::Path path;
-    double volume;
-  };
-  std::map<int, std::map<int64_t, std::vector<PathVolume>>> reservations_;
-  std::map<std::pair<net::NodeId, net::NodeId>, std::vector<net::Path>>
-      path_cache_;
+  service::AdmissionController ledger_;
+  // Where Compute walks each admitted id's booked edges from. Not the
+  // demand's source: the batch simulator lets ids repeat, and every demand
+  // with an admitted id is served that id's bookings, never best-effort.
+  std::unordered_map<int, net::NodeId> booked_src_;
   int admitted_ = 0;
   int rejected_ = 0;
 };

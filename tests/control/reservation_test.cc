@@ -88,6 +88,7 @@ TEST_F(ReservationTest, OpticalBoostLightsExtraCircuit) {
   ASSERT_TRUE(r);
   EXPECT_TRUE(r->used_extra_circuit);
   EXPECT_EQ(svc.BoostCircuits(), 1);
+  EXPECT_TRUE(svc.ledger().Audit().empty());
 }
 
 TEST_F(ReservationTest, BoostNeedsFreeRouterPorts) {
@@ -169,8 +170,10 @@ TEST_F(ReservationTest, ReleaseThenReadmitReusesCapacity) {
   EXPECT_FALSE(svc.Request(0, 1, 1.0, 0.0, 600.0).has_value());
   svc.Release(first->id);
   EXPECT_EQ(svc.reservations().size(), 0u);
+  EXPECT_TRUE(svc.ledger().Audit().empty());
   EXPECT_NEAR(svc.AvailableRate(0, 1, 0.0, 600.0), 20.0, 1e-6);
   EXPECT_TRUE(svc.Request(0, 1, 20.0, 0.0, 600.0).has_value());
+  EXPECT_TRUE(svc.ledger().Audit().empty());
 }
 
 TEST_F(ReservationTest, ReleaseUnknownIdThrows) {

@@ -11,6 +11,7 @@
 #include "core/owan.h"
 #include "fault/fault_event.h"
 #include "service/service.h"
+#include "testkit/oracles.h"
 #include "topo/topologies.h"
 
 namespace owan::service {
@@ -309,6 +310,11 @@ TEST(FailoverTest, CheckpointMidScheduleResumesAtFaultCursor) {
   EXPECT_EQ(standby.stats().completed, 2u);
   EXPECT_EQ(standby.Checkpoint(), full.Checkpoint());
   EXPECT_EQ(standby.Fingerprint(), full.Fingerprint());
+  // The run-level fault and recovery metrics carry across the restore too.
+  std::string why;
+  EXPECT_TRUE(testkit::SameSimResult(standby.ToSimResult(), full.ToSimResult(),
+                                     &why))
+      << why;
 }
 
 // ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ workload::StreamParams Params(uint64_t seed, double rate) {
 ServiceOptions Online(int k_paths) {
   ServiceOptions opt;
   opt.mode = ServiceMode::kOnline;
-  opt.admission.k_paths = k_paths;
+  opt.admission_k_paths = k_paths;
   return opt;
 }
 

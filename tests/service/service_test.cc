@@ -70,7 +70,7 @@ double PathCap(const topo::Wan& wan, int src, int dst) {
 ServiceOptions OnlineOpts() {
   ServiceOptions opt;
   opt.mode = ServiceMode::kOnline;
-  opt.admission.k_paths = 1;  // single-path ledger: booking math is exact
+  opt.admission_k_paths = 1;  // single-path ledger: booking math is exact
   return opt;
 }
 

@@ -60,13 +60,14 @@ void SubmitPair(ControllerService& c, const topo::Wan& wan) {
   c.Submit(Req(1, wan.SiteByName("LAX"), wan.SiteByName("CHI"), 60000.0));
 }
 
-// The checkpoint minus the installed-route block, which only a service
-// that executes updates keeps.
+// The checkpoint minus the installed-route block and the update counters,
+// which only a service that executes updates keeps.
 std::string WithoutInstalledRoutes(const std::string& snap) {
   std::istringstream is(snap);
   std::string line, out;
   bool in_block = false;
   while (std::getline(is, line)) {
+    if (line.rfind("sim-updates ", 0) == 0) continue;
     if (line.rfind("iroute ", 0) == 0) {
       in_block = true;
       continue;

@@ -60,6 +60,7 @@ TEST_F(AmoebaTest, ReservationsProtectEarlierAdmissions) {
   EXPECT_FALSE(te.Admit(Req(1, 0, 1, 1000.0, 0.0, 600.0), 0.0));
   // But a later deadline still works.
   EXPECT_TRUE(te.Admit(Req(2, 0, 1, 1000.0, 0.0, 1200.0), 0.0));
+  EXPECT_TRUE(te.ledger().Audit().empty());
 }
 
 TEST_F(AmoebaTest, ComputeReturnsReservedRates) {
@@ -123,6 +124,30 @@ TEST_F(AmoebaTest, EarliestSlotsFilledFirst) {
   in.slot_seconds = 300.0;
   auto out = te.Compute(in);
   EXPECT_GT(out.allocations[0].TotalRate(), 0.0);
+}
+
+TEST_F(AmoebaTest, MidSlotAdmissionBooksTheSlotComputeServes) {
+  AmoebaTe te(graph_, 300.0);
+  // Admitted mid-slot (a fault truncated the interval): Compute at t=450
+  // serves slot (450 + 150) / 300 = 2, so the volume must be booked from
+  // the next boundary on, not into the slot already under way.
+  ASSERT_TRUE(te.Admit(Req(0, 0, 1, 3000.0, 450.0, 1200.0), 450.0));
+  core::TeInput in;
+  in.topology = &wan_.default_topology;
+  in.optical = &wan_.optical;
+  core::TransferDemand d;
+  d.id = 0;
+  d.src = 0;
+  d.dst = 1;
+  d.remaining = 3000.0;
+  d.rate_cap = 10.0;
+  d.deadline = 1200.0;
+  in.demands = {d};
+  in.now = 450.0;
+  in.slot_seconds = 300.0;
+  auto out = te.Compute(in);
+  ASSERT_EQ(out.allocations.size(), 1u);
+  EXPECT_NEAR(out.allocations[0].TotalRate(), 10.0, 1e-6);
 }
 
 TEST_F(AmoebaTest, DeadlineBeforeNextSlotRejected) {

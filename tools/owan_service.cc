@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--scheme")) {
       scheme_name = next("--scheme");
     } else if (!std::strcmp(argv[i], "--k-paths")) {
-      opt.admission.k_paths = std::atoi(next("--k-paths"));
+      opt.admission_k_paths = std::atoi(next("--k-paths"));
     } else if (!std::strcmp(argv[i], "--stale-slots")) {
       opt.max_stale_slots = std::atoi(next("--stale-slots"));
     } else if (!std::strcmp(argv[i], "--demand-frac")) {
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   try {
     const topo::Wan wan = topo::MakeByName(topo_name);
     auto scheme =
-        MakeScheme(scheme_name, wan, opt.slot_seconds, opt.admission.k_paths);
+        MakeScheme(scheme_name, wan, opt.slot_seconds, opt.admission_k_paths);
     if (!scheme) return Usage(argv[0]);
 
     service::ControllerService svc(&wan, std::move(scheme), opt);
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
         out << snapshot;
       }
       auto scheme2 = MakeScheme(scheme_name, wan, opt.slot_seconds,
-                                opt.admission.k_paths);
+                                opt.admission_k_paths);
       service::ControllerService resumed = service::ControllerService::Restore(
           &wan, std::move(scheme2), snapshot, opt);
       resumed.AttachStream(params, requests);
