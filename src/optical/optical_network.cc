@@ -9,6 +9,7 @@
 
 #include "net/disjoint_paths.h"
 #include "net/shortest_path.h"
+#include "obs/obs.h"
 #include "optical/regen_graph.h"
 
 namespace owan::optical {
@@ -18,7 +19,92 @@ namespace {
 // segment the provisioner tries before giving up.
 constexpr int kMaxSequences = 8;
 constexpr int kMaxFiberPathsPerSegment = 4;
+
+// A fixed-size array of fill-once pointers; owns what they point to.
+template <typename T>
+struct SlotArray {
+  explicit SlotArray(size_t n) : slots(n) {}
+  ~SlotArray() {
+    for (auto& s : slots) delete s.load(std::memory_order_relaxed);
+  }
+  SlotArray(const SlotArray&) = delete;
+  SlotArray& operator=(const SlotArray&) = delete;
+  std::vector<std::atomic<T*>> slots;
+};
+
+// *slot, after publishing make() into it if it is empty. Publication is one
+// compare-and-swap, so racers agree on a single winner; a loser frees its
+// own value and returns the winner's. Sets `*won` when this call won.
+template <typename T, typename Make>
+T& LoadOrPublish(std::atomic<T*>& slot, const Make& make,
+                 bool* won = nullptr) {
+  T* cur = slot.load(std::memory_order_acquire);
+  if (cur != nullptr) return *cur;
+  std::unique_ptr<T> mine = make();
+  if (!slot.compare_exchange_strong(cur, mine.get(),
+                                    std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+    return *cur;
+  }
+  if (won != nullptr) *won = true;
+  return *mine.release();
+}
+
+// A table entry: built by `build` and published on first use, immutable
+// after. `build` is a pure function of the table's key, so a racer that
+// loses the publish built the same value. Only the winner counts a fill,
+// so the count does not depend on thread timing.
+template <typename T, typename Build>
+const T& Fill(std::atomic<const T*>& slot, const Build& build) {
+  bool won = false;
+  const T& entry = LoadOrPublish(
+      slot, [&] { return std::make_unique<const T>(build()); }, &won);
+  if (won) OWAN_COUNT("optical.fiber_table_fills");
+  return entry;
+}
 }  // namespace
+
+// The table behind FiberTree, ReachPeers and SegmentRoutes. Its key is the
+// fiber graph, the dead-fiber mask and EffectiveReachKm(); every network
+// holding it has the same key, so any of them may fill an entry, from any
+// thread. The slot arrays are built on the first lookup, not with the
+// table, so building a plant fiber by fiber allocates nothing per fiber.
+class OpticalNetwork::FiberRouteTable {
+ public:
+  using Routes = std::vector<net::Path>;
+
+  explicit FiberRouteTable(int num_sites)
+      : n_(static_cast<size_t>(num_sites)) {}
+  ~FiberRouteTable() { delete slots_.load(std::memory_order_relaxed); }
+  FiberRouteTable(const FiberRouteTable&) = delete;
+  FiberRouteTable& operator=(const FiberRouteTable&) = delete;
+
+  std::atomic<const net::SpTree*>& Tree(net::NodeId u) {
+    return Get().trees.slots[Index(u)];
+  }
+  std::atomic<const std::vector<ReachPeer>*>& Peers(net::NodeId u) {
+    return Get().peers.slots[Index(u)];
+  }
+  std::atomic<const Routes*>& Route(net::NodeId a, net::NodeId b) {
+    return Get().routes.slots[Index(a) * n_ + Index(b)];
+  }
+
+ private:
+  struct Slots {
+    explicit Slots(size_t n) : trees(n), peers(n), routes(n * n) {}
+    SlotArray<const net::SpTree> trees;             // [site]
+    SlotArray<const std::vector<ReachPeer>> peers;  // [site]
+    SlotArray<const Routes> routes;                 // [a * n + b]
+  };
+
+  static size_t Index(net::NodeId v) { return static_cast<size_t>(v); }
+  Slots& Get() {
+    return LoadOrPublish(slots_, [&] { return std::make_unique<Slots>(n_); });
+  }
+
+  size_t n_;
+  std::atomic<Slots*> slots_{nullptr};
+};
 
 // Stamp 0 is reserved for "never stamped"; fresh constructions start at 1.
 std::atomic<uint64_t> OpticalNetwork::next_stamp_{1};
@@ -50,7 +136,12 @@ OpticalNetwork::OpticalNetwork(std::vector<SiteInfo> sites, double reach_km,
   site_failed_.assign(sites_.size(), false);
   ports_failed_.assign(sites_.size(), 0);
   regens_failed_.assign(sites_.size(), 0);
+  ResetFiberRoutes();
   BumpStamp();
+}
+
+void OpticalNetwork::ResetFiberRoutes() {
+  fiber_routes_ = std::make_shared<FiberRouteTable>(NumSites());
 }
 
 net::EdgeId OpticalNetwork::AddFiber(net::NodeId u, net::NodeId v,
@@ -60,7 +151,7 @@ net::EdgeId OpticalNetwork::AddFiber(net::NodeId u, net::NodeId v,
   }
   const net::EdgeId id = fiber_graph_.AddEdge(u, v, length_km);
   BumpStamp();
-  fiber_cache_.Clear();
+  ResetFiberRoutes();
   fibers_.push_back(FiberInfo{length_km, num_wavelengths});
   lambda_used_.emplace_back(num_wavelengths, false);
   if (static_cast<int>(lambda_usage_.size()) < num_wavelengths) {
@@ -79,6 +170,7 @@ void OpticalNetwork::set_qot(const QotOptions& q) {
   effective_reach_km_ =
       qot_.enabled ? std::min(EffectiveQotReachKm(qot_), 1e7) : reach_km_;
   BumpStamp();
+  ResetFiberRoutes();
 }
 
 double OpticalNetwork::PathSnrDb(
@@ -202,28 +294,32 @@ double OpticalNetwork::FiberDistanceKm(net::NodeId u, net::NodeId v) const {
 }
 
 const net::SpTree& OpticalNetwork::FiberTree(net::NodeId u) const {
-  auto& trees = fiber_cache_.trees;
-  if (trees.size() != sites_.size()) trees.assign(sites_.size(), std::nullopt);
-  auto& slot = trees[static_cast<size_t>(u)];
-  if (!slot) {
-    slot = net::Dijkstra(fiber_graph_, u,
+  return Fill(fiber_routes_->Tree(u), [&] {
+    return net::Dijkstra(fiber_graph_, u,
                          [this](net::EdgeId e) { return !FiberDead(e); });
-  }
-  return *slot;
+  });
+}
+
+const std::vector<ReachPeer>& OpticalNetwork::ReachPeers(net::NodeId u) const {
+  return Fill(fiber_routes_->Peers(u), [&] {
+    const net::SpTree& tree = FiberTree(u);
+    std::vector<ReachPeer> peers;
+    for (net::NodeId v = 0; v < NumSites(); ++v) {
+      if (v != u && tree.Reachable(v) && tree.dist[v] <= effective_reach_km_) {
+        peers.push_back(ReachPeer{v, tree.dist[v]});
+      }
+    }
+    return peers;
+  });
 }
 
 const std::vector<net::Path>& OpticalNetwork::SegmentRoutes(
     net::NodeId a, net::NodeId b) const {
-  auto& routes = fiber_cache_.routes;
-  const size_t n = sites_.size();
-  if (routes.size() != n * n) routes.assign(n * n, std::nullopt);
-  auto& slot = routes[static_cast<size_t>(a) * n + static_cast<size_t>(b)];
-  if (!slot) {
-    slot = net::KShortestPaths(
+  return Fill(fiber_routes_->Route(a, b), [&] {
+    return net::KShortestPaths(
         fiber_graph_, a, b, kMaxFiberPathsPerSegment,
         [this](net::EdgeId e) { return !FiberDead(e); });
-  }
-  return *slot;
+  });
 }
 
 std::optional<Circuit> OpticalNetwork::RealizeSequence(
@@ -668,7 +764,7 @@ std::vector<CircuitId> OpticalNetwork::FailFiber(net::EdgeId fiber) {
   }
   for (CircuitId id : victims) ReleaseCircuit(id);
   fiber_failed_[fiber] = true;
-  fiber_cache_.Clear();
+  ResetFiberRoutes();
   return victims;
 }
 
@@ -676,7 +772,7 @@ bool OpticalNetwork::RestoreFiber(net::EdgeId fiber) {
   if (!fiber_failed_[fiber]) return false;  // repair of a live fiber: no-op
   BumpStamp();
   fiber_failed_[fiber] = false;
-  fiber_cache_.Clear();
+  ResetFiberRoutes();
   return true;
 }
 
@@ -703,7 +799,7 @@ std::vector<CircuitId> OpticalNetwork::FailSite(net::NodeId v) {
   }
   for (CircuitId id : victims) ReleaseCircuit(id);
   site_failed_[v] = true;
-  fiber_cache_.Clear();
+  ResetFiberRoutes();
   return victims;
 }
 
@@ -711,7 +807,7 @@ bool OpticalNetwork::RestoreSite(net::NodeId v) {
   if (!site_failed_[v]) return false;
   BumpStamp();
   site_failed_[v] = false;
-  fiber_cache_.Clear();
+  ResetFiberRoutes();
   return true;
 }
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,6 +30,13 @@ struct SiteInfo {
 struct FiberInfo {
   double length_km = 0.0;
   int num_wavelengths = 0;  // phi in the paper
+};
+
+// A site within optical reach of another over the live fiber plant: an
+// edge of the regenerator graph (paper Fig. 5a).
+struct ReachPeer {
+  net::NodeId site = net::kInvalidNode;
+  double km = 0.0;  // shortest live fiber distance
 };
 
 // How a circuit picks among the wavelengths free along its segment.
@@ -196,14 +204,19 @@ class OpticalNetwork {
   double FiberDistanceKm(net::NodeId u, net::NodeId v) const;
 
   // Shortest-path tree over the live fiber plant from `u` — exactly
-  // Dijkstra(fiber_graph(), u, !FiberFailed). Served from a lazily-built
-  // cache: the tree depends only on the fiber plant and the failure flags,
-  // which circuit churn never touches, so the annealing hot loop (which
-  // consults fiber distances for every provisioned circuit) reuses it
-  // across thousands of provisions. Invalidated by AddFiber / FailFiber /
-  // RestoreFiber; a copied network starts with a cold cache (chains run
-  // concurrently on their own copies and must not share one lazily).
+  // Dijkstra(fiber_graph(), u, !FiberFailed). Served from the fiber-route
+  // table: the tree depends only on the fiber graph and the dead-fiber mask,
+  // which circuit churn never touches, so every provision reuses it. A copy
+  // shares its source's table and starts warm; AddFiber, FailFiber /
+  // RestoreFiber, FailSite / RestoreSite and set_qot give the network they
+  // are called on a fresh table and leave its copies' tables alone. Safe to
+  // call concurrently on copies of one plant.
   const net::SpTree& FiberTree(net::NodeId u) const;
+
+  // Every site v != u with FiberTree(u).dist[v] <= EffectiveReachKm(),
+  // ascending by site id: the sites a circuit from `u` reaches without
+  // regeneration. From the same table as FiberTree.
+  const std::vector<ReachPeer>& ReachPeers(net::NodeId u) const;
 
   // ---- failure handling (§3.4) ----
   //
@@ -254,8 +267,6 @@ class OpticalNetwork {
   int FailedRegens(net::NodeId v) const { return regens_failed_[v]; }
 
  private:
-  friend class RegenGraphBuilder;
-
   // Fiber unusable for routing: failed directly or endpoint site down.
   bool FiberDead(net::EdgeId fiber) const;
 
@@ -270,11 +281,15 @@ class OpticalNetwork {
       const std::vector<net::NodeId>& sites) const;
 
   // Candidate fiber routes for one circuit segment a->b (the k-shortest
-  // loopless paths over non-failed fibers), cached like FiberTree: the
-  // route list depends on the plant and failure flags only — wavelength
+  // loopless paths over non-failed fibers), from the table like FiberTree:
+  // the route list depends on the plant and failure flags only — wavelength
   // occupancy merely decides which of them gets used.
   const std::vector<net::Path>& SegmentRoutes(net::NodeId a,
                                               net::NodeId b) const;
+
+  // Gives this network an empty fiber-route table; copies keep theirs.
+  // Called by every mutator of the table's key (see FiberTree).
+  void ResetFiberRoutes();
 
   void Commit(Circuit& c);
 
@@ -306,26 +321,11 @@ class OpticalNetwork {
   std::map<CircuitId, Circuit> circuits_;
   CircuitId next_circuit_id_ = 0;
 
-  // Lazily-built derived state over the static fiber plant (see FiberTree).
-  // Copies start cold on purpose: annealing chains copy the blank network
-  // and run concurrently, so sharing a lazily-filled cache would race.
-  struct FiberPlantCache {
-    std::vector<std::optional<net::SpTree>> trees;              // [site]
-    std::vector<std::optional<std::vector<net::Path>>> routes;  // [a*n+b]
-    FiberPlantCache() = default;
-    FiberPlantCache(const FiberPlantCache&) {}
-    FiberPlantCache& operator=(const FiberPlantCache&) {
-      Clear();
-      return *this;
-    }
-    FiberPlantCache(FiberPlantCache&&) = default;
-    FiberPlantCache& operator=(FiberPlantCache&&) = default;
-    void Clear() {
-      trees.clear();
-      routes.clear();
-    }
-  };
-  mutable FiberPlantCache fiber_cache_;
+  // What depends only on the fiber graph, the dead-fiber mask and
+  // EffectiveReachKm(): fiber trees, reach peers and segment routes, each
+  // filled on first use (optical_network.cc). Shared with every copy.
+  class FiberRouteTable;
+  std::shared_ptr<FiberRouteTable> fiber_routes_;
 
   static std::atomic<uint64_t> next_stamp_;
   uint64_t state_stamp_ = 0;

@@ -144,7 +144,7 @@ std::vector<DiPath> DirectedKShortest(const DiGraph& g, int src, int dst,
 
 RegenGraph::RegenGraph(const OpticalNetwork& on, net::NodeId src,
                        net::NodeId dst, bool balance)
-    : on_(on), src_(src), dst_(dst), graph_(on.NumSites()) {
+    : src_(src), dst_(dst), graph_(on.NumSites()) {
   const int n = on.NumSites();
   node_weight_.assign(n, kInf);
   participates_.assign(n, false);
@@ -160,25 +160,16 @@ RegenGraph::RegenGraph(const OpticalNetwork& on, net::NodeId src,
     }
   }
 
-  // Edge between participants whose shortest fiber distance is within reach.
-  hop_dist_km_.assign(n, std::vector<double>(n, kInf));
+  // Edge between participants whose shortest fiber distance is within the
+  // effective reach: the hard eta in legacy mode, the QoT contiguous-fiber
+  // bound when impairments are modeled (heuristic — RealizeSequence still
+  // grades each concrete route's SNR). The peer lists come from the
+  // network's fiber-route table, which circuit churn never invalidates.
+  // Each edge u < v takes its length from u's tree, in (u, v) order.
   for (net::NodeId u = 0; u < n; ++u) {
     if (!participates_[u]) continue;
-    // Shortest fiber distances from u, skipping failed fibers (cached in
-    // the network — a regen graph is built per provisioned circuit, and
-    // the fiber plant doesn't change under circuit churn).
-    const net::SpTree& tree = on.FiberTree(u);
-    for (net::NodeId v = u + 1; v < n; ++v) {
-      if (!participates_[v]) continue;
-      if (!tree.Reachable(v)) continue;
-      const double d = tree.dist[v];
-      // Effective reach: the hard eta in legacy mode, the QoT
-      // contiguous-fiber bound when impairments are modeled (heuristic —
-      // RealizeSequence still grades each concrete route's SNR).
-      if (d <= on.EffectiveReachKm()) {
-        graph_.AddEdge(u, v, d);
-        hop_dist_km_[u][v] = hop_dist_km_[v][u] = d;
-      }
+    for (const ReachPeer& p : on.ReachPeers(u)) {
+      if (p.site > u && participates_[p.site]) graph_.AddEdge(u, p.site, p.km);
     }
   }
 }

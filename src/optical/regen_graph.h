@@ -44,13 +44,11 @@ class RegenGraph {
   double SequenceWeight(const std::vector<net::NodeId>& seq) const;
 
  private:
-  const OpticalNetwork& on_;
   net::NodeId src_;
   net::NodeId dst_;
   net::Graph graph_;
   std::vector<double> node_weight_;
   std::vector<bool> participates_;
-  std::vector<std::vector<double>> hop_dist_km_;  // fiber km per regen edge
 };
 
 }  // namespace owan::optical

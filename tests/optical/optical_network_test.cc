@@ -218,7 +218,8 @@ TEST(OpticalNetworkTest, FiberCacheSurvivesCopyAndCircuitChurn) {
   OpticalNetwork on = MakeLine();
   EXPECT_DOUBLE_EQ(on.FiberTree(1).dist[3], 1600.0);  // warm
 
-  // Copies start with a cold cache but identical answers.
+  // A copy shares its source's fiber-route table: it starts warm, with
+  // identical answers.
   const OpticalNetwork copy = on;
   EXPECT_DOUBLE_EQ(copy.FiberTree(1).dist[3], 1600.0);
   EXPECT_DOUBLE_EQ(copy.FiberDistanceKm(0, 3), 2400.0);
@@ -229,6 +230,53 @@ TEST(OpticalNetworkTest, FiberCacheSurvivesCopyAndCircuitChurn) {
   EXPECT_DOUBLE_EQ(on.FiberTree(1).dist[3], 1600.0);
   on.ReleaseCircuit(*id);
   EXPECT_DOUBLE_EQ(on.FiberTree(1).dist[3], 1600.0);
+}
+
+// A copy shares its source's fiber-route table only until one side changes
+// the dead-fiber mask: that side gets a fresh table, and the other side's
+// answers stay as they were.
+TEST(OpticalNetworkTest, MaskChangesStayOnTheirSideOfACopy) {
+  struct MaskChange {
+    const char* name;
+    void (*fail)(OpticalNetwork&);
+    void (*restore)(OpticalNetwork&);
+  };
+  const MaskChange changes[] = {
+      {"fiber B-C", [](OpticalNetwork& on) { on.FailFiber(1); },
+       [](OpticalNetwork& on) { on.RestoreFiber(1); }},
+      {"site B", [](OpticalNetwork& on) { on.FailSite(1); },
+       [](OpticalNetwork& on) { on.RestoreSite(1); }},
+  };
+  for (const MaskChange& change : changes) {
+    for (const bool on_copy : {false, true}) {
+      SCOPED_TRACE(std::string(change.name) +
+                   (on_copy ? " fails on the copy" : " fails on the source"));
+      OpticalNetwork plant = MakeLine();
+      EXPECT_DOUBLE_EQ(plant.FiberDistanceKm(0, 3), 2400.0);  // warm
+      OpticalNetwork copy = MakeLine(1, 1, 1);
+      copy = plant;
+      OpticalNetwork& changed = on_copy ? copy : plant;
+      OpticalNetwork& other = on_copy ? plant : copy;
+
+      change.fail(changed);
+      EXPECT_EQ(changed.FiberTree(0).dist[2], net::kInfDist);
+      EXPECT_EQ(changed.FiberDistanceKm(0, 3), net::kInfDist);
+      EXPECT_FALSE(changed.ProvisionCircuit(0, 3).has_value());
+      EXPECT_DOUBLE_EQ(other.FiberTree(0).dist[2], 1600.0);
+      EXPECT_DOUBLE_EQ(other.FiberDistanceKm(0, 3), 2400.0);
+      const auto other_id = other.ProvisionCircuit(0, 3);
+      ASSERT_TRUE(other_id.has_value());
+      EXPECT_DOUBLE_EQ(other.circuit(*other_id).TotalLengthKm(), 2400.0);
+
+      change.restore(changed);
+      EXPECT_DOUBLE_EQ(changed.FiberTree(0).dist[2], 1600.0);
+      EXPECT_DOUBLE_EQ(changed.FiberDistanceKm(0, 3), 2400.0);
+      const auto id = changed.ProvisionCircuit(0, 3);
+      ASSERT_TRUE(id.has_value());
+      EXPECT_EQ(changed.circuit(*id).regen_sites,
+                other.circuit(*other_id).regen_sites);
+    }
+  }
 }
 
 }  // namespace
