@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 
@@ -15,6 +13,7 @@
 namespace owan::optical {
 
 namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
 // How many regenerator-site sequences and how many alternate fiber paths per
 // segment the provisioner tries before giving up.
 constexpr int kMaxSequences = 8;
@@ -159,7 +158,13 @@ net::EdgeId OpticalNetwork::AddFiber(net::NodeId u, net::NodeId v,
   }
   fiber_failed_.push_back(false);
   fiber_degrade_db_.push_back(0.0);
+  if (qot_.enabled) fiber_inv_osnr_.push_back(FiberNoise(id));
   return id;
+}
+
+double OpticalNetwork::FiberNoise(net::EdgeId fiber) const {
+  return FiberInverseOsnr(fibers_[fiber].length_km, fiber_degrade_db_[fiber],
+                          qot_);
 }
 
 void OpticalNetwork::set_qot(const QotOptions& q) {
@@ -171,23 +176,25 @@ void OpticalNetwork::set_qot(const QotOptions& q) {
       qot_.enabled ? std::min(EffectiveQotReachKm(qot_), 1e7) : reach_km_;
   BumpStamp();
   ResetFiberRoutes();
+  fiber_inv_osnr_.clear();
+  if (qot_.enabled) {
+    for (net::EdgeId f = 0; f < NumFibers(); ++f) {
+      fiber_inv_osnr_.push_back(FiberNoise(f));
+    }
+  }
 }
 
 double OpticalNetwork::PathSnrDb(
     const std::vector<net::EdgeId>& fibers) const {
-  if (!qot_.enabled) return std::numeric_limits<double>::infinity();
+  if (!qot_.enabled) return kInf;
   double inv = 0.0;
-  for (net::EdgeId f : fibers) {
-    inv += FiberInverseOsnr(fibers_[f].length_km, fiber_degrade_db_[f], qot_);
-  }
+  for (net::EdgeId f : fibers) inv += fiber_inv_osnr_[f];
   return SnrDbFromInverseOsnr(inv, qot_);
 }
 
 void OpticalNetwork::GradeCircuit(Circuit& c) const {
   if (!qot_.enabled) {
-    for (Segment& s : c.segments) {
-      s.snr_db = std::numeric_limits<double>::infinity();
-    }
+    for (Segment& s : c.segments) s.snr_db = kInf;
     c.capacity_gbps = wavelength_capacity_;
     return;
   }
@@ -210,6 +217,7 @@ std::vector<CircuitId> OpticalNetwork::DegradeFiber(net::EdgeId fiber,
   BumpStamp();
   fiber_degrade_db_[fiber] = db;
   if (!qot_.enabled) return {};  // recorded for checkpoints only
+  fiber_inv_osnr_[fiber] = FiberNoise(fiber);
   // Re-grade every circuit crossing the fiber; tear down those that no
   // longer close at any modulation tier (deterministic id order).
   std::vector<CircuitId> victims;
@@ -252,41 +260,53 @@ int OpticalNetwork::FreeWavelengths(net::EdgeId fiber) const {
   return free;
 }
 
-std::vector<int> OpticalNetwork::WavelengthOrder(int grid) const {
-  std::vector<int> order(static_cast<size_t>(grid));
-  for (int i = 0; i < grid; ++i) order[static_cast<size_t>(i)] = i;
-  if (lambda_policy_ == WavelengthPolicy::kFirstFit) return order;
-  std::stable_sort(order.begin(), order.end(), [this](int a, int b) {
+bool OpticalNetwork::TriesBefore(int a, int b) const {
+  if (lambda_policy_ != WavelengthPolicy::kFirstFit) {
     const int ua = lambda_usage_[static_cast<size_t>(a)];
     const int ub = lambda_usage_[static_cast<size_t>(b)];
     if (ua != ub) {
       return lambda_policy_ == WavelengthPolicy::kMostUsed ? ua > ub
                                                            : ua < ub;
     }
-    return a < b;
-  });
+  }
+  return a < b;
+}
+
+std::vector<int> OpticalNetwork::WavelengthOrder(int grid) const {
+  std::vector<int> order(static_cast<size_t>(grid));
+  for (int i = 0; i < grid; ++i) order[static_cast<size_t>(i)] = i;
+  std::sort(order.begin(), order.end(),
+            [this](int a, int b) { return TriesBefore(a, b); });
   return order;
 }
 
-int OpticalNetwork::FindCommonWavelength(
-    const std::vector<net::EdgeId>& fibers) const {
-  if (fibers.empty()) return -1;
-  int min_grid = fibers_[fibers[0]].num_wavelengths;
+int OpticalNetwork::PickWavelength(const std::vector<net::EdgeId>& fibers,
+                                   const Bookings& booked) const {
+  int grid = fibers_[fibers.front()].num_wavelengths;
   for (net::EdgeId f : fibers) {
-    if (FiberDead(f)) return -1;
-    min_grid = std::min(min_grid, fibers_[f].num_wavelengths);
+    grid = std::min(grid, fibers_[f].num_wavelengths);
   }
-  for (int lambda : WavelengthOrder(min_grid)) {
-    bool ok = true;
+  const auto free = [&](int lambda) {
     for (net::EdgeId f : fibers) {
-      if (lambda_used_[f][lambda]) {
-        ok = false;
-        break;
+      if (lambda_used_[f][lambda]) return false;
+    }
+    for (const auto& [f, l] : booked) {
+      if (l == lambda &&
+          std::find(fibers.begin(), fibers.end(), f) != fibers.end()) {
+        return false;
       }
     }
-    if (ok) return lambda;
+    return true;
+  };
+  // The free wavelength that comes first in WavelengthOrder(grid).
+  int best = -1;
+  for (int lambda = 0; lambda < grid; ++lambda) {
+    if (best >= 0 && !TriesBefore(lambda, best)) continue;
+    if (!free(lambda)) continue;
+    best = lambda;
+    if (lambda_policy_ == WavelengthPolicy::kFirstFit) break;
   }
-  return -1;
+  return best;
 }
 
 double OpticalNetwork::FiberDistanceKm(net::NodeId u, net::NodeId v) const {
@@ -329,25 +349,21 @@ std::optional<Circuit> OpticalNetwork::RealizeSequence(
   c.dst = seq.back();
   c.regen_sites.assign(seq.begin() + 1, seq.end() - 1);
 
-  // Tentative wavelength bookings (fiber -> lambdas) so that two segments of
-  // the same circuit never double-book a wavelength.
-  std::map<net::EdgeId, std::set<int>> tentative;
+  // The circuit's own wavelength bookings, so that two of its segments
+  // never double-book a wavelength on a fiber.
+  Bookings booked;
 
   for (size_t i = 0; i + 1 < seq.size(); ++i) {
-    const net::NodeId a = seq[i];
-    const net::NodeId b = seq[i + 1];
     // Candidate fiber routes for this segment. Legacy: first route within
     // reach that has a free common wavelength. QoT: SNR-graded — among the
     // routes that close at some modulation tier and have a free wavelength,
     // the highest-capacity one wins (ties to the shorter route; the
     // candidate list is sorted ascending by length).
-    const auto& routes = SegmentRoutes(a, b);
-    bool segment_done = false;
     const net::Path* best_route = nullptr;
     int best_lambda = -1;
     double best_snr = 0.0;
     double best_cap = 0.0;
-    for (const net::Path& route : routes) {
+    for (const net::Path& route : SegmentRoutes(seq[i], seq[i + 1])) {
       double snr = 0.0;
       double cap = 0.0;
       if (qot_.enabled) {
@@ -358,59 +374,22 @@ std::optional<Circuit> OpticalNetwork::RealizeSequence(
       } else if (route.length > reach_km_) {
         break;  // sorted ascending; none fit
       }
-      // Smallest wavelength free on every fiber of the route, also
-      // excluding this circuit's own tentative bookings.
-      int min_grid = fibers_[route.edges.front()].num_wavelengths;
-      for (net::EdgeId f : route.edges) {
-        min_grid = std::min(min_grid, fibers_[f].num_wavelengths);
-      }
-      int chosen = -1;
-      for (int lambda : WavelengthOrder(min_grid)) {
-        bool ok = true;
-        for (net::EdgeId f : route.edges) {
-          if (lambda_used_[f][lambda]) {
-            ok = false;
-            break;
-          }
-          auto it = tentative.find(f);
-          if (it != tentative.end() && it->second.count(lambda)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) {
-          chosen = lambda;
-          break;
-        }
-      }
-      if (chosen < 0) continue;
-      if (qot_.enabled) {
-        best_route = &route;
-        best_lambda = chosen;
-        best_snr = snr;
-        best_cap = cap;
-        continue;
-      }
-      Segment s;
-      s.fibers = route.edges;
-      s.wavelength = chosen;
-      s.length_km = route.length;
-      for (net::EdgeId f : s.fibers) tentative[f].insert(chosen);
-      c.segments.push_back(std::move(s));
-      segment_done = true;
-      break;
+      const int lambda = PickWavelength(route.edges, booked);
+      if (lambda < 0) continue;
+      best_route = &route;
+      best_lambda = lambda;
+      best_snr = snr;
+      best_cap = cap;
+      if (!qot_.enabled) break;
     }
-    if (qot_.enabled && best_route != nullptr) {
-      Segment s;
-      s.fibers = best_route->edges;
-      s.wavelength = best_lambda;
-      s.length_km = best_route->length;
-      s.snr_db = best_snr;
-      for (net::EdgeId f : s.fibers) tentative[f].insert(best_lambda);
-      c.segments.push_back(std::move(s));
-      segment_done = true;
-    }
-    if (!segment_done) return std::nullopt;
+    if (best_route == nullptr) return std::nullopt;
+    Segment s;
+    s.fibers = best_route->edges;
+    s.wavelength = best_lambda;
+    s.length_km = best_route->length;
+    s.snr_db = best_snr;
+    for (net::EdgeId f : s.fibers) booked.emplace_back(f, best_lambda);
+    c.segments.push_back(std::move(s));
   }
   GradeCircuit(c);
   return c;
@@ -439,27 +418,24 @@ std::optional<CircuitId> OpticalNetwork::ProvisionCircuit(net::NodeId src,
   }
   if (site_failed_[src] || site_failed_[dst]) return std::nullopt;
   const RegenGraph rg(*this, src, dst, balance_regens_);
-  // QoT mode: every candidate sequence is realized and the highest-capacity
-  // circuit wins (capacity = min tier over segments; a regen resets the SNR
-  // budget, so more regens can mean more capacity). Ties keep the earliest
-  // candidate, which the regen graph orders by fewest regens then shortest
-  // fiber distance. Legacy mode commits the first realizable sequence.
+  // Up to kMaxSequences candidates, drawn lazily in the regen graph's order
+  // (fewest regens, then shortest fiber distance). A sequence is loopless
+  // and its interior sites are regen-graph nodes, which have a free
+  // regenerator each, so every candidate fits the regen budget.
+  // Legacy mode commits the first realizable sequence. QoT mode keeps the
+  // highest-capacity circuit (capacity = min tier over segments; a regen
+  // resets the SNR budget, so more regens can mean more capacity), ties
+  // going to the earliest candidate. No circuit beats a noiseless one at
+  // the theta-capped top tier, so the search stops once `best` reaches it:
+  // later candidates could only tie.
+  const double ceiling =
+      std::min(wavelength_capacity_, CapacityForSnrGbps(kInf, qot_));
+  RegenGraph::Search search(rg);
   std::optional<Circuit> best;
-  for (const auto& seq : rg.CandidateSequences(kMaxSequences)) {
-    // Every interior site consumes a regenerator; check availability (the
-    // regen graph only contains sites with >= 1 free, but a sequence might
-    // not be realisable if it revisits constraints another way).
-    bool regens_ok = true;
-    std::map<net::NodeId, int> needed;
-    for (size_t i = 1; i + 1 < seq.size(); ++i) ++needed[seq[i]];
-    for (const auto& [site, cnt] : needed) {
-      if (regens_free_[site] < cnt) {
-        regens_ok = false;
-        break;
-      }
-    }
-    if (!regens_ok) continue;
-    auto circuit = RealizeSequence(seq);
+  for (int tried = 0; tried < kMaxSequences; ++tried) {
+    const std::vector<net::NodeId>* seq = search.Next();
+    if (seq == nullptr) break;
+    auto circuit = RealizeSequence(*seq);
     if (!circuit) continue;
     if (!qot_.enabled) {
       Commit(*circuit);
@@ -468,6 +444,7 @@ std::optional<CircuitId> OpticalNetwork::ProvisionCircuit(net::NodeId src,
     if (circuit->capacity_gbps <= 0.0) continue;
     if (!best || circuit->capacity_gbps > best->capacity_gbps) {
       best = std::move(circuit);
+      if (best->capacity_gbps >= ceiling) break;
     }
   }
   if (best) {
@@ -518,7 +495,7 @@ std::optional<CircuitId> OpticalNetwork::ProvisionCircuitAlongRoute(
   Circuit c;
   c.src = route.nodes.front();
   c.dst = route.nodes.back();
-  std::map<net::EdgeId, std::set<int>> tentative;
+  Bookings booked;
   for (size_t bi = 0; bi + 1 < breakpoints.size(); ++bi) {
     const size_t a = breakpoints[bi];
     const size_t b = breakpoints[bi + 1];
@@ -526,28 +503,9 @@ std::optional<CircuitId> OpticalNetwork::ProvisionCircuitAlongRoute(
     s.fibers.assign(route.edges.begin() + static_cast<long>(a),
                     route.edges.begin() + static_cast<long>(b));
     s.length_km = prefix[b] - prefix[a];
-    int min_grid = fibers_[s.fibers.front()].num_wavelengths;
-    for (net::EdgeId f : s.fibers) {
-      min_grid = std::min(min_grid, fibers_[f].num_wavelengths);
-    }
-    int chosen = -1;
-    for (int lambda : WavelengthOrder(min_grid)) {
-      bool ok = true;
-      for (net::EdgeId f : s.fibers) {
-        if (lambda_used_[f][lambda] ||
-            (tentative.count(f) && tentative[f].count(lambda))) {
-          ok = false;
-          break;
-        }
-      }
-      if (ok) {
-        chosen = lambda;
-        break;
-      }
-    }
-    if (chosen < 0) return std::nullopt;
-    s.wavelength = chosen;
-    for (net::EdgeId f : s.fibers) tentative[f].insert(chosen);
+    s.wavelength = PickWavelength(s.fibers, booked);
+    if (s.wavelength < 0) return std::nullopt;
+    for (net::EdgeId f : s.fibers) booked.emplace_back(f, s.wavelength);
     c.segments.push_back(std::move(s));
     if (bi + 2 < breakpoints.size()) {
       c.regen_sites.push_back(route.nodes[b]);
@@ -662,9 +620,13 @@ bool OpticalNetwork::CheckInvariants(std::string* error) const {
     for (const Segment& s : c.segments) {
       if (qot_.enabled) {
         // QoT mode: signal quality, not the hard reach bound, governs
-        // feasibility. Stored SNR must match a recomputation against the
-        // current plant (same deterministic code path, so exactly).
-        const double snr = PathSnrDb(s.fibers);
+        // feasibility. Stored SNR must match the span physics of the
+        // current plant exactly: summed here without the noise cache, in
+        // the order PathSnrDb sums it, so a stale cache entry shows up as a
+        // mismatch.
+        double inv = 0.0;
+        for (net::EdgeId f : s.fibers) inv += FiberNoise(f);
+        const double snr = SnrDbFromInverseOsnr(inv, qot_);
         if (snr != s.snr_db) {
           return fail("stale segment SNR in " + ToString(c));
         }

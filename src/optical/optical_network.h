@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/graph.h"
@@ -86,7 +87,9 @@ class OpticalNetwork {
 
   // Margin-adjusted SNR (dB) of a wavelength-continuous run over `fibers`,
   // including each fiber's current degradation. +inf when QoT is disabled
-  // or the run is empty.
+  // or the run is empty. Sums each fiber's FiberInverseOsnr from a
+  // per-fiber cache that AddFiber, set_qot and DegradeFiber /
+  // RepairFiberDegradation refresh.
   double PathSnrDb(const std::vector<net::EdgeId>& fibers) const;
 
   // ---- fiber degradation (SNR loss without a cut) ----
@@ -141,9 +144,6 @@ class OpticalNetwork {
   bool WavelengthUsed(net::EdgeId fiber, int lambda) const {
     return lambda_used_[fiber][lambda];
   }
-
-  // Lowest-index wavelength free on every fiber of `fibers`, or -1.
-  int FindCommonWavelength(const std::vector<net::EdgeId>& fibers) const;
 
   // ---- circuit lifecycle ----
 
@@ -267,8 +267,24 @@ class OpticalNetwork {
   int FailedRegens(net::NodeId v) const { return regens_failed_[v]; }
 
  private:
+  // (fiber, wavelength) pairs a circuit under construction has taken.
+  using Bookings = std::vector<std::pair<net::EdgeId, int>>;
+
   // Fiber unusable for routing: failed directly or endpoint site down.
   bool FiberDead(net::EdgeId fiber) const;
+
+  // FiberInverseOsnr of the fiber's length and degradation under qot_:
+  // what the noise cache holds, computed afresh.
+  double FiberNoise(net::EdgeId fiber) const;
+
+  // Whether the policy tries wavelength a before b (WavelengthOrder).
+  bool TriesBefore(int a, int b) const;
+
+  // The first wavelength in WavelengthOrder that is free on every fiber of
+  // `fibers` (within the smallest grid among them) and not in `booked` on
+  // any of them, or -1.
+  int PickWavelength(const std::vector<net::EdgeId>& fibers,
+                     const Bookings& booked) const;
 
   // Fills per-segment snr_db and the circuit's capacity_gbps from the
   // current plant state (theta / +inf in legacy mode, per-span accumulation
@@ -308,6 +324,9 @@ class OpticalNetwork {
   QotOptions qot_;
   double effective_reach_km_;
   std::vector<double> fiber_degrade_db_;  // extra attenuation per fiber (dB)
+  // FiberNoise per fiber while QoT is enabled (the only mode that reads
+  // it); empty otherwise.
+  std::vector<double> fiber_inv_osnr_;
 
   std::vector<std::vector<bool>> lambda_used_;  // [fiber][wavelength]
   std::vector<int> lambda_usage_;  // global per-index usage (policy input)

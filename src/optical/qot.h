@@ -85,7 +85,8 @@ double EffectiveQotReachKm(const QotOptions& q);
 // Seeded-defect hook for `owan_fuzz --inject-bug qot`: when enabled,
 // FiberInverseOsnr silently drops the first span's noise contribution of
 // every fiber, the classic off-by-one in span accumulation. The QoT oracle
-// must catch this via its independent reference implementation.
+// must catch this via its independent reference implementation. Plants
+// cache each fiber's FiberInverseOsnr, so set it before building any.
 void TestOnlySkipFirstSpanNoise(bool on);
 bool TestOnlySkipFirstSpanNoiseEnabled();
 

@@ -1,11 +1,8 @@
 #include "optical/regen_graph.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
-#include <queue>
-#include <set>
-
-#include "net/shortest_path.h"
 
 namespace owan::optical {
 
@@ -17,134 +14,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // keeps the two scales disjoint.
 constexpr double kWeightScale = 1e9;
 
-// Minimal directed graph used for the transformed graph of Fig. 5(b).
-struct DiGraph {
-  explicit DiGraph(int n) : adj(n) {}
-  // adj[u] = list of (v, arc_weight)
-  std::vector<std::vector<std::pair<int, double>>> adj;
-
-  int NumNodes() const { return static_cast<int>(adj.size()); }
-};
-
-struct DiPath {
-  std::vector<int> nodes;
-  double cost = 0.0;
-};
-
-// Dijkstra over the directed transformed graph with banned nodes/arcs
-// (for Yen's spur computation).
-DiPath DirectedShortest(const DiGraph& g, int src, int dst,
-                        const std::vector<bool>& banned_node,
-                        const std::set<std::pair<int, int>>& banned_arc) {
-  const int n = g.NumNodes();
-  std::vector<double> dist(n, kInf);
-  std::vector<int> parent(n, -1);
-  using Item = std::pair<double, int>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
-  dist[src] = 0.0;
-  pq.emplace(0.0, src);
-  while (!pq.empty()) {
-    auto [d, u] = pq.top();
-    pq.pop();
-    if (d > dist[u]) continue;
-    if (u == dst) break;
-    for (const auto& [v, w] : g.adj[u]) {
-      if (banned_node[v]) continue;
-      if (banned_arc.count({u, v})) continue;
-      const double nd = d + w;
-      if (nd < dist[v]) {
-        dist[v] = nd;
-        parent[v] = u;
-        pq.emplace(nd, v);
-      }
-    }
-  }
-  DiPath p;
-  if (dist[dst] == kInf) return p;
-  p.cost = dist[dst];
-  for (int cur = dst; cur != -1; cur = parent[cur]) p.nodes.push_back(cur);
-  std::reverse(p.nodes.begin(), p.nodes.end());
-  return p;
-}
-
-// Yen's k-shortest loopless paths on the directed graph.
-std::vector<DiPath> DirectedKShortest(const DiGraph& g, int src, int dst,
-                                      int k) {
-  std::vector<DiPath> result;
-  std::vector<bool> no_ban(g.NumNodes(), false);
-  DiPath first = DirectedShortest(g, src, dst, no_ban, {});
-  if (first.nodes.empty()) return result;
-  result.push_back(std::move(first));
-
-  auto cmp = [](const DiPath& a, const DiPath& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return a.nodes < b.nodes;
-  };
-  std::set<DiPath, decltype(cmp)> candidates(cmp);
-  std::set<std::vector<int>> known;
-  known.insert(result[0].nodes);
-
-  while (static_cast<int>(result.size()) < k) {
-    const DiPath& prev = result.back();
-    for (size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      const int spur = prev.nodes[i];
-      std::set<std::pair<int, int>> banned_arc;
-      for (const DiPath& p : result) {
-        if (p.nodes.size() > i + 1 &&
-            std::equal(prev.nodes.begin(),
-                       prev.nodes.begin() + static_cast<long>(i) + 1,
-                       p.nodes.begin())) {
-          banned_arc.insert({p.nodes[i], p.nodes[i + 1]});
-        }
-      }
-      std::vector<bool> banned_node(g.NumNodes(), false);
-      for (size_t j = 0; j < i; ++j) banned_node[prev.nodes[j]] = true;
-
-      DiPath spur_path =
-          DirectedShortest(g, spur, dst, banned_node, banned_arc);
-      if (spur_path.nodes.empty()) continue;
-
-      DiPath total;
-      total.nodes.assign(prev.nodes.begin(),
-                         prev.nodes.begin() + static_cast<long>(i));
-      total.nodes.insert(total.nodes.end(), spur_path.nodes.begin(),
-                         spur_path.nodes.end());
-      // Recompute cost over arcs.
-      total.cost = 0.0;
-      bool valid = true;
-      for (size_t j = 0; j + 1 < total.nodes.size(); ++j) {
-        const int u = total.nodes[j];
-        const int v = total.nodes[j + 1];
-        double w = kInf;
-        for (const auto& [to, aw] : g.adj[u]) {
-          if (to == v) {
-            w = aw;
-            break;
-          }
-        }
-        if (w == kInf) {
-          valid = false;
-          break;
-        }
-        total.cost += w;
-      }
-      if (valid && !known.count(total.nodes)) {
-        known.insert(total.nodes);
-        candidates.insert(std::move(total));
-      }
-    }
-    if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
-  }
-  return result;
-}
-
 }  // namespace
 
 RegenGraph::RegenGraph(const OpticalNetwork& on, net::NodeId src,
                        net::NodeId dst, bool balance)
-    : src_(src), dst_(dst), graph_(on.NumSites()) {
+    : src_(src), dst_(dst) {
   const int n = on.NumSites();
   node_weight_.assign(n, kInf);
   participates_.assign(n, false);
@@ -166,12 +40,47 @@ RegenGraph::RegenGraph(const OpticalNetwork& on, net::NodeId src,
   // grades each concrete route's SNR). The peer lists come from the
   // network's fiber-route table, which circuit churn never invalidates.
   // Each edge u < v takes its length from u's tree, in (u, v) order.
-  for (net::NodeId u = 0; u < n; ++u) {
-    if (!participates_[u]) continue;
-    for (const ReachPeer& p : on.ReachPeers(u)) {
-      if (p.site > u && participates_[p.site]) graph_.AddEdge(u, p.site, p.km);
+  const auto for_each_edge = [&](const auto& visit) {
+    for (net::NodeId u = 0; u < n; ++u) {
+      if (!participates_[u]) continue;
+      for (const ReachPeer& p : on.ReachPeers(u)) {
+        if (p.site > u && participates_[p.site]) visit(u, p.site, p.km);
+      }
     }
+  };
+  // Each edge becomes arcs u->v weighted by node_weight(v) and v->u
+  // weighted by node_weight(u), fiber distance breaking ties. Counting
+  // first and then filling in edge order leaves every node's arcs
+  // ascending by target.
+  arc_begin_.assign(static_cast<size_t>(n) + 1, 0);
+  for_each_edge([&](net::NodeId u, net::NodeId v, double) {
+    ++arc_begin_[u + 1];
+    ++arc_begin_[v + 1];
+  });
+  for (int v = 0; v < n; ++v) arc_begin_[v + 1] += arc_begin_[v];
+  arc_to_.resize(static_cast<size_t>(arc_begin_[n]));
+  arc_weight_.resize(arc_to_.size());
+  std::vector<int> fill(arc_begin_.begin(), arc_begin_.end() - 1);
+  const auto add_arc = [&](net::NodeId from, net::NodeId to, double km) {
+    const int a = fill[from]++;
+    arc_to_[a] = to;
+    arc_weight_[a] = node_weight_[to] * kWeightScale + km;
+  };
+  for_each_edge([&](net::NodeId u, net::NodeId v, double km) {
+    add_arc(u, v, km);
+    add_arc(v, u, km);
+  });
+}
+
+double RegenGraph::ArcWeight(net::NodeId from, net::NodeId to) const {
+  for (int a = arc_begin_[from]; a < arc_begin_[from + 1]; ++a) {
+    if (arc_to_[a] == to) return arc_weight_[a];
   }
+  return kInf;
+}
+
+bool RegenGraph::Adjacent(net::NodeId u, net::NodeId v) const {
+  return ArcWeight(u, v) != kInf;
 }
 
 double RegenGraph::SequenceWeight(
@@ -184,23 +93,137 @@ double RegenGraph::SequenceWeight(
 std::vector<std::vector<net::NodeId>> RegenGraph::CandidateSequences(
     int k) const {
   std::vector<std::vector<net::NodeId>> out;
-  if (src_ == dst_) return out;
-
-  // Transformed graph (Fig. 5b): each undirected regen edge (u,v) becomes
-  // arcs u->v weighted by node_weight(v) and v->u weighted by
-  // node_weight(u); fiber distance breaks ties lexicographically.
-  DiGraph tg(graph_.NumNodes());
-  for (const net::Edge& e : graph_.edges()) {
-    tg.adj[e.u].emplace_back(e.v,
-                             node_weight_[e.v] * kWeightScale + e.weight);
-    tg.adj[e.v].emplace_back(e.u,
-                             node_weight_[e.u] * kWeightScale + e.weight);
-  }
-
-  for (DiPath& p : DirectedKShortest(tg, src_, dst_, k)) {
-    out.emplace_back(p.nodes.begin(), p.nodes.end());
+  Search search(*this);
+  while (static_cast<int>(out.size()) < k) {
+    const std::vector<net::NodeId>* seq = search.Next();
+    if (seq == nullptr) break;
+    out.push_back(*seq);
   }
   return out;
+}
+
+RegenGraph::Search::Search(const RegenGraph& g)
+    : g_(g), done_(g.src_ == g.dst_) {
+  const size_t n = g.node_weight_.size();
+  stamp_.assign(n, 0);
+  banned_.assign(n, 0);
+  dist_.resize(n);
+  parent_.resize(n);
+}
+
+bool RegenGraph::Search::Shortest(const std::vector<net::NodeId>& root,
+                                  size_t spur, std::vector<net::NodeId>& out) {
+  ++epoch_;
+  for (size_t j = 0; j < spur; ++j) banned_[root[j]] = epoch_;
+  const net::NodeId from = root[spur];
+  const net::NodeId dst = g_.dst_;
+  const auto dist = [&](net::NodeId v) {
+    return stamp_[v] == epoch_ ? dist_[v] : kInf;
+  };
+  // Heap keys (distance, node) are all distinct, since a node is pushed
+  // again only at a strictly smaller distance: the pop order, and with it
+  // every tie-break, is that of any min-heap over the same keys.
+  heap_.clear();
+  stamp_[from] = epoch_;
+  dist_[from] = 0.0;
+  parent_[from] = net::kInvalidNode;
+  heap_.emplace_back(0.0, from);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > dist_[u]) continue;
+    if (u == dst) break;
+    for (int a = g_.arc_begin_[u]; a < g_.arc_begin_[u + 1]; ++a) {
+      const net::NodeId v = g_.arc_to_[a];
+      if (banned_[v] == epoch_) continue;
+      if (u == from && std::find(banned_hops_.begin(), banned_hops_.end(),
+                                 v) != banned_hops_.end()) {
+        continue;
+      }
+      const double nd = d + g_.arc_weight_[a];
+      if (nd < dist(v)) {
+        stamp_[v] = epoch_;
+        dist_[v] = nd;
+        parent_[v] = u;
+        heap_.emplace_back(nd, v);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+      }
+    }
+  }
+  if (stamp_[dst] != epoch_) return false;
+  out.clear();
+  for (net::NodeId cur = dst; cur != net::kInvalidNode; cur = parent_[cur]) {
+    out.push_back(cur);
+  }
+  std::reverse(out.begin(), out.end());
+  return true;
+}
+
+double RegenGraph::Search::Cost(const std::vector<net::NodeId>& nodes) const {
+  double cost = 0.0;
+  for (size_t j = 0; j + 1 < nodes.size(); ++j) {
+    cost += g_.ArcWeight(nodes[j], nodes[j + 1]);
+  }
+  return cost;
+}
+
+bool RegenGraph::Search::Known(const std::vector<net::NodeId>& nodes) const {
+  const auto same = [&](const Path& p) { return p.nodes == nodes; };
+  return std::any_of(found_.begin(), found_.end(), same) ||
+         std::any_of(candidates_.begin(), candidates_.end(), same);
+}
+
+const std::vector<net::NodeId>* RegenGraph::Search::Next() {
+  if (done_) return nullptr;
+  if (found_.empty()) {
+    Path first;
+    if (!Shortest({g_.src_}, 0, first.nodes)) {
+      done_ = true;
+      return nullptr;
+    }
+    found_.push_back(std::move(first));
+    return &found_.back().nodes;
+  }
+
+  // Spur off every node of the last path found. The root prefix's nodes
+  // are banned, and so is every first hop out of the spur node that an
+  // already found path with the same root takes; those are the only arcs
+  // Yen's rule bans, since all of them leave the spur node.
+  const std::vector<net::NodeId>& prev = found_.back().nodes;
+  for (size_t i = 0; i + 1 < prev.size(); ++i) {
+    banned_hops_.clear();
+    for (const Path& p : found_) {
+      if (p.nodes.size() > i + 1 &&
+          std::equal(prev.begin(), prev.begin() + static_cast<long>(i) + 1,
+                     p.nodes.begin())) {
+        banned_hops_.push_back(p.nodes[i + 1]);
+      }
+    }
+    if (!Shortest(prev, i, spur_)) continue;
+    Path total;
+    total.nodes.reserve(i + spur_.size());
+    total.nodes.assign(prev.begin(), prev.begin() + static_cast<long>(i));
+    total.nodes.insert(total.nodes.end(), spur_.begin(), spur_.end());
+    if (Known(total.nodes)) continue;
+    total.cost = Cost(total.nodes);
+    candidates_.push_back(std::move(total));
+  }
+  if (candidates_.empty()) {
+    done_ = true;
+    return nullptr;
+  }
+  // Cheapest candidate; equal costs go to the lexicographically smaller
+  // node sequence.
+  const auto best = std::min_element(
+      candidates_.begin(), candidates_.end(),
+      [](const Path& a, const Path& b) {
+        return a.cost != b.cost ? a.cost < b.cost : a.nodes < b.nodes;
+      });
+  found_.push_back(std::move(*best));
+  if (best != candidates_.end() - 1) *best = std::move(candidates_.back());
+  candidates_.pop_back();
+  return &found_.back().nodes;
 }
 
 }  // namespace owan::optical

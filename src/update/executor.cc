@@ -56,7 +56,11 @@ UpdateExecutor::UpdateExecutor(ExecutorInput input, ExecutorOptions options)
   }
 }
 
+// Replay, StepUntil and Finish each open an "update.execute" span. A run
+// calls them one after another, never inside each other, so summing the
+// spans by name counts every executor step once.
 void UpdateExecutor::Replay(const IntentLog& log) {
+  OWAN_SPAN(span, "update", "update.execute");
   for (const IntentRecord& r : log.records) {
     switch (r.kind) {
       case IntentKind::kAttemptStart: {
@@ -119,6 +123,8 @@ bool UpdateExecutor::Step() {
 }
 
 bool UpdateExecutor::StepUntil(double t_limit, size_t max_log_records) {
+  OWAN_SPAN(span, "update", "update.execute");
+  span.AddArg("until_s", t_limit);
   while (!terminal_ && log_.records.size() < max_log_records) {
     if (!StepOnce(t_limit)) break;  // next action lies beyond t_limit
   }

@@ -43,6 +43,28 @@ sim::SimResult RunOnce(uint64_t seed) {
   return sim::RunSimulation(wan, SmallWorkload(), te, opt);
 }
 
+// Two coast-to-coast bulk transfers on Internet2, with every slot's
+// reconfiguration run through the update executor.
+sim::SimResult RunWithExecutedUpdates() {
+  const topo::Wan wan = topo::MakeInternet2();
+  std::vector<core::Request> reqs(2);
+  reqs[0].id = 0;
+  reqs[0].src = wan.SiteByName("SEA");
+  reqs[0].dst = wan.SiteByName("NYC");
+  reqs[0].size = 90000.0;
+  reqs[1].id = 1;
+  reqs[1].src = wan.SiteByName("LAX");
+  reqs[1].dst = wan.SiteByName("CHI");
+  reqs[1].size = 60000.0;
+  core::OwanOptions oo;
+  oo.seed = 11;
+  oo.anneal.max_iterations = 200;
+  core::OwanTe te(oo);
+  sim::SimOptions opt;
+  opt.execute_updates = true;
+  return sim::RunSimulation(wan, reqs, te, opt);
+}
+
 TEST(TelemetryTest, SameSeedRunsFingerprintIdentically) {
   MetricsRegistry& reg = MetricsRegistry::Global();
 
@@ -156,6 +178,48 @@ TEST(TelemetryTest, TraceNestsSimulatorControllerAndSearch) {
   EXPECT_TRUE(contains(*slot, *compute));
   EXPECT_TRUE(contains(*compute, *anneal));
   EXPECT_TRUE(contains(*anneal, *chain));
+
+  tracer.Clear();
+}
+
+// The slot loop runs most of an executed update's steps in
+// UpdateExecutor::StepUntil and the rest in Finish. Both record an
+// "update.execute" span, one after the other, so a sum over the span name
+// (as perfbench's update.execute_ms takes it) covers every step once and
+// leaves none to the simulator's own time.
+TEST(TelemetryTest, ExecutedUpdatesSpanTheirStepsAsUpdateExecute) {
+  Tracer& tracer = Tracer::Global();
+  tracer.Start();
+  const sim::SimResult result = RunWithExecutedUpdates();
+  tracer.Stop();
+  ASSERT_GT(result.updates_executed, 0);
+
+  std::vector<TraceEvent> spans;
+  for (const TraceEvent& e : tracer.Events()) {
+    if (std::string(e.cat) == "update" &&
+        std::string(e.name) == "update.execute") {
+      spans.push_back(e);
+    }
+  }
+  const auto has_arg = [](const TraceEvent& e, const char* key) {
+    for (int i = 0; i < e.num_args; ++i) {
+      if (std::string(e.args[i].key) == key) return true;
+    }
+    return false;
+  };
+  const auto stepped = std::count_if(
+      spans.begin(), spans.end(),
+      [&](const TraceEvent& e) { return has_arg(e, "until_s"); });
+  EXPECT_EQ(stepped, result.updates_executed);
+  EXPECT_EQ(spans.size(), 2u * static_cast<size_t>(result.updates_executed));
+  std::sort(spans.begin(), spans.end(),
+            [](const TraceEvent& a, const TraceEvent& b) {
+              return a.ts_ns < b.ts_ns;
+            });
+  for (size_t i = 0; i + 1 < spans.size(); ++i) {
+    EXPECT_EQ(spans[i].tid, spans[i + 1].tid);
+    EXPECT_LE(spans[i].ts_ns + spans[i].dur_ns, spans[i + 1].ts_ns);
+  }
 
   tracer.Clear();
 }

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "optical/optical_network.h"
 
@@ -194,6 +196,76 @@ TEST(QotTest, DegradationCanTearDown) {
   // Repair makes the span provisionable again.
   EXPECT_TRUE(on.RepairFiberDegradation(1));
   EXPECT_TRUE(on.ProvisionCircuit(1, 2).has_value());
+}
+
+// PathSnrDb sums a per-fiber noise cache. After every call that changes a
+// fiber's physics, on either side of a copy, it must bit-equal the same sum
+// taken afresh from FiberInverseOsnr.
+double UncachedSnrDb(const OpticalNetwork& on,
+                     const std::vector<net::EdgeId>& fibers) {
+  double inv = 0.0;
+  for (net::EdgeId f : fibers) {
+    inv += FiberInverseOsnr(on.fiber(f).length_km, on.FiberDegradationDb(f),
+                            on.qot());
+  }
+  return SnrDbFromInverseOsnr(inv, on.qot());
+}
+
+void ExpectNoiseCacheFresh(const OpticalNetwork& on) {
+  std::vector<net::EdgeId> all;
+  for (net::EdgeId f = 0; f < on.NumFibers(); ++f) {
+    EXPECT_EQ(on.PathSnrDb({f}), UncachedSnrDb(on, {f})) << "fiber " << f;
+    all.push_back(f);
+  }
+  EXPECT_EQ(on.PathSnrDb(all), UncachedSnrDb(on, all));
+  std::string err;
+  EXPECT_TRUE(on.CheckInvariants(&err)) << err;
+}
+
+TEST(QotTest, PathSnrDbTracksEveryPlantChange) {
+  std::vector<SiteInfo> sites = {{"A", 2, 0}, {"B", 2, 2}, {"C", 2, 0}};
+  OpticalNetwork on(std::move(sites), 2000.0, 200.0);
+  on.AddFiber(0, 1, 400.0, 4);
+  on.set_qot(Qot());  // installs the model over an existing fiber
+  ExpectNoiseCacheFresh(on);
+  on.AddFiber(1, 2, 1230.0, 4);  // added under QoT, with a remainder span
+  ExpectNoiseCacheFresh(on);
+  on.DegradeFiber(1, 7.5);
+  ExpectNoiseCacheFresh(on);
+  EXPECT_TRUE(on.RepairFiberDegradation(1));
+  ExpectNoiseCacheFresh(on);
+
+  // A degradation on one side of a copy stays on that side.
+  OpticalNetwork copy = on;
+  copy.DegradeFiber(0, 3.0);
+  ExpectNoiseCacheFresh(copy);
+  ExpectNoiseCacheFresh(on);
+  EXPECT_LT(copy.PathSnrDb({0}), on.PathSnrDb({0}));
+  on.DegradeFiber(1, 2.0);
+  ExpectNoiseCacheFresh(on);
+  ExpectNoiseCacheFresh(copy);
+  EXPECT_LT(on.PathSnrDb({1}), copy.PathSnrDb({1}));
+
+  // A degradation recorded while the model is off still counts once it is
+  // back on, and new model parameters regrade every fiber.
+  QotOptions off = Qot();
+  off.enabled = false;
+  copy.set_qot(off);
+  copy.DegradeFiber(1, 5.0);
+  QotOptions lossy = Qot();
+  lossy.fiber_loss_db_per_km = 0.3;
+  copy.set_qot(lossy);
+  ExpectNoiseCacheFresh(copy);
+
+  // Live circuits are regraded from the cache when a fiber they cross
+  // degrades; CheckInvariants recomputes their SNR without it.
+  const auto id = on.ProvisionCircuit(0, 2);
+  ASSERT_TRUE(id);
+  on.DegradeFiber(0, 4.0);
+  ExpectNoiseCacheFresh(on);
+  on.DegradeFiber(1, 0.5);
+  ExpectNoiseCacheFresh(on);
+  EXPECT_EQ(on.circuits().size(), 1u);
 }
 
 TEST(QotTest, SetQotRejectedOnLivePlant) {

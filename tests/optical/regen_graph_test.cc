@@ -54,8 +54,8 @@ TEST(RegenGraphTest, EdgesOnlyWithinReach) {
   OpticalNetwork on = MakeDiamond(2, 2);
   RegenGraph rg(on, 0, 3);
   // S-D shortest fiber distance is 1800 km > 1000 reach: no direct edge.
-  EXPECT_EQ(rg.graph().FindEdge(0, 3), net::kInvalidEdge);
-  EXPECT_NE(rg.graph().FindEdge(0, 1), net::kInvalidEdge);
+  EXPECT_FALSE(rg.Adjacent(0, 3));
+  EXPECT_TRUE(rg.Adjacent(0, 1));
 }
 
 TEST(RegenGraphTest, PrefersRegenRichSites) {
@@ -114,7 +114,7 @@ TEST(RegenGraphTest, FailedFiberExcludedFromDistances) {
   OpticalNetwork on = MakeDiamond(2, 2);
   on.FailFiber(0);  // S-P fiber
   RegenGraph rg(on, 0, 3);
-  EXPECT_EQ(rg.graph().FindEdge(0, 1), net::kInvalidEdge);
+  EXPECT_FALSE(rg.Adjacent(0, 1));
   auto seqs = rg.CandidateSequences(4);
   ASSERT_FALSE(seqs.empty());
   EXPECT_EQ(seqs[0], (std::vector<net::NodeId>{0, 2, 3}));
