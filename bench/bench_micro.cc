@@ -1,8 +1,8 @@
 // Google-benchmark microbenchmarks for the hot primitives: one annealing
 // step (provision + route), the energy function, circuit provisioning, the
-// regenerator graph, Yen's k-shortest paths, blossom matching, and the
-// simplex solver. These bound the controller's per-slot latency (the paper
-// reports ~320 ms of annealing is enough — see bench_fig10d).
+// regenerator graph, Yen's k-shortest paths, and the simplex solver. These
+// bound the controller's per-slot latency (the paper reports ~320 ms of
+// annealing is enough — see bench_fig10d).
 #include <benchmark/benchmark.h>
 
 #include "core/annealing.h"
@@ -10,7 +10,6 @@
 #include "core/routing.h"
 #include "lp/mcf.h"
 #include "lp/simplex.h"
-#include "net/matching.h"
 #include "net/shortest_path.h"
 #include "optical/regen_graph.h"
 #include "topo/topologies.h"
@@ -99,21 +98,6 @@ void BM_YenKShortest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_YenKShortest)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_BlossomMatching(benchmark::State& state) {
-  util::Rng rng(11);
-  const int n = static_cast<int>(state.range(0));
-  net::Graph g(n);
-  for (int i = 0; i < 4 * n; ++i) {
-    const int u = static_cast<int>(rng.Index(static_cast<size_t>(n)));
-    const int v = static_cast<int>(rng.Index(static_cast<size_t>(n)));
-    if (u != v && g.FindEdge(u, v) == net::kInvalidEdge) g.AddEdge(u, v);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(net::MaximumMatching(g));
-  }
-}
-BENCHMARK(BM_BlossomMatching)->Arg(16)->Arg(64);
 
 void BM_SimplexMcf(benchmark::State& state) {
   topo::Wan wan = topo::MakeIspBackbone();

@@ -9,6 +9,7 @@
 // tempus, amoeba, greedy. With --tsv the completion-time CDF is printed as
 // tab-separated rows for plotting.
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -114,6 +115,7 @@ int main(int argc, char** argv) {
       if (!next(args.duration)) return Usage();
     } else if (!std::strcmp(argv[i], "--slot")) {
       if (!next(args.slot)) return Usage();
+      if (!(std::isfinite(args.slot) && args.slot > 0.0)) return Usage();
     } else if (!std::strcmp(argv[i], "--anneal") && i + 1 < argc) {
       args.anneal = std::atoi(argv[++i]);
     } else if (!std::strcmp(argv[i], "--chains") && i + 1 < argc) {

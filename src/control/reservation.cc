@@ -52,9 +52,6 @@ ReservationService::ReservationService(const core::Topology& topology,
       ledger_(topology.ToGraph(optical.wavelength_capacity()),
               service::AdmissionOptions{options.slot_seconds,
                                         options.k_paths}) {
-  if (options_.slot_seconds <= 0.0) {
-    throw std::invalid_argument("ReservationService: slot_seconds > 0");
-  }
   // Claim the plant's view of the current topology so boosts only use
   // genuinely spare optical resources.
   core::ProvisionedState seed(optical_);

@@ -215,7 +215,7 @@ ChainResult RunChainSerial(const Topology& current, Topology start,
     } else {
       eval.Reject();
     }
-    temperature *= options.alpha;
+    temperature *= kCoolingFactor;
   }
 
   out.iterations = iters;
@@ -370,7 +370,7 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
     }
     // One cooling step per evaluated candidate keeps the schedule aligned
     // with the serial search at equal iteration budgets.
-    for (size_t i = 0; i < cand.size(); ++i) temperature *= options.alpha;
+    for (size_t i = 0; i < cand.size(); ++i) temperature *= kCoolingFactor;
     if (exhausted) break;
   }
 
@@ -453,8 +453,7 @@ AnnealResult ApplyAdoptionGuard(ChainResult&& cr, const Topology& current,
   best.searched_starved = cr.best_starved;
   const bool rescues_starved = cr.best_starved > base_starved;
   if (!rescues_starved &&
-      cr.best_energy <
-          base_energy * (1.0 + options.min_adopt_gain) + 1e-9) {
+      cr.best_energy < base_energy * (1.0 + kMinAdoptGain) + 1e-9) {
     best.best_topology = base_topology;
     best.best_energy = base_energy;
     best.state = std::move(base_state);

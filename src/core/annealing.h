@@ -30,9 +30,16 @@ std::optional<Topology> ComputeNeighbor(
     const Topology& s, util::Rng& rng,
     const std::vector<int>* port_budget = nullptr);
 
+// Geometric cooling factor per step (Algorithm 1, line 16).
+inline constexpr double kCoolingFactor = 0.95;
+
+// The search keeps the current topology unless its best candidate beats it
+// by this relative margin (or serves a starved transfer the current one
+// cannot). Reconfiguration is not free (circuits go dark for seconds), so
+// marginal wins are not worth the churn.
+inline constexpr double kMinAdoptGain = 0.02;
+
 struct AnnealOptions {
-  // Geometric cooling factor (Algorithm 1, line 16).
-  double alpha = 0.95;
   // Stop when T < epsilon_ratio * T0.
   double epsilon_ratio = 1e-3;
   // Hard iteration cap per chain (used by the Fig. 10d running-time sweep).
@@ -40,10 +47,6 @@ struct AnnealOptions {
   // Paper default: start from the current topology. false = cold start from
   // a randomly shuffled topology (ablation).
   bool warm_start = true;
-  // Keep the current topology unless the best candidate beats it by this
-  // relative margin. Reconfiguration is not free (circuits go dark for
-  // seconds), so marginal wins are not worth the churn.
-  double min_adopt_gain = 0.02;
   // If > 0, a wall-clock budget (seconds) for the whole search: chains stop
   // drawing candidates once it expires and the best state found so far
   // stands. With a warm start an expired budget degrades to the current

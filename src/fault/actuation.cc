@@ -41,7 +41,7 @@ ActuationSample SampleActuation(const ActuationModel& model, int op_id,
   if (model.straggler_prob > 0.0 &&
       UnitDouble(base ^ 0x3ULL) < model.straggler_prob) {
     s.straggler = true;
-    s.latency_s *= model.straggler_factor;
+    s.latency_s *= kStragglerFactor;
   }
   return s;
 }

@@ -5,6 +5,9 @@
 
 namespace owan::fault {
 
+// Latency multiplier of a straggling actuation attempt.
+inline constexpr double kStragglerFactor = 8.0;
+
 // Seeded model of reconfiguration-actuation behaviour: how long an
 // individual update operation (router rule install, ROADM circuit
 // provisioning/teardown) really takes and whether it fails outright.
@@ -25,10 +28,9 @@ struct ActuationModel {
   // U uniform in [0, 1). 0 = exact nominal durations.
   double latency_cv = 0.0;
   // With this probability an attempt straggles: latency is additionally
-  // multiplied by straggler_factor (it may then trip the executor's
+  // multiplied by kStragglerFactor (it may then trip the executor's
   // timeout and be retried).
   double straggler_prob = 0.0;
-  double straggler_factor = 8.0;
 
   bool enabled() const {
     return circuit_failure_prob > 0.0 || route_failure_prob > 0.0 ||

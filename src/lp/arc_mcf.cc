@@ -1,6 +1,5 @@
 #include "lp/arc_mcf.h"
 
-#include <string>
 #include <utility>
 
 namespace owan::lp {
@@ -74,9 +73,7 @@ ArcMcfResult ArcMcfMaxThroughput(const net::Graph& topo,
         terms.emplace_back(rate[static_cast<size_t>(i)], 1.0);
       }
       if (terms.empty()) continue;
-      lp.AddConstraint(std::move(terms), Relation::kEq, 0.0,
-                       "cons_c" + std::to_string(i) + "_n" +
-                           std::to_string(v));
+      lp.AddConstraint(std::move(terms), Relation::kEq, 0.0);
     }
   }
 
@@ -88,8 +85,7 @@ ArcMcfResult ArcMcfMaxThroughput(const net::Graph& topo,
       terms.emplace_back(var(i, e, 0), 1.0);
       terms.emplace_back(var(i, e, 1), 1.0);
     }
-    lp.AddConstraint(std::move(terms), Relation::kLe, topo.edge(e).capacity,
-                     "cap_e" + std::to_string(e));
+    lp.AddConstraint(std::move(terms), Relation::kLe, topo.edge(e).capacity);
   }
 
   const LpSolution sol = Solve(lp, options);

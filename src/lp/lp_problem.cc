@@ -5,15 +5,13 @@
 
 namespace owan::lp {
 
-int LpProblem::AddVariable(double lower, double upper, double objective,
-                           std::string name) {
+int LpProblem::AddVariable(double lower, double upper, double objective) {
   if (lower > upper) {
     throw std::invalid_argument("LpProblem::AddVariable: lower > upper");
   }
   objective_.push_back(objective);
   lower_.push_back(lower);
   upper_.push_back(upper);
-  names_.push_back(std::move(name));
   return NumVariables() - 1;
 }
 
@@ -22,15 +20,14 @@ void LpProblem::SetObjectiveCoef(int var, double coef) {
 }
 
 void LpProblem::AddConstraint(std::vector<std::pair<int, double>> terms,
-                              Relation rel, double rhs, std::string name) {
+                              Relation rel, double rhs) {
   for (const auto& [v, c] : terms) {
     if (v < 0 || v >= NumVariables()) {
       throw std::out_of_range("LpProblem::AddConstraint: bad variable");
     }
     (void)c;
   }
-  constraints_.push_back(Constraint{std::move(terms), rel, rhs,
-                                    std::move(name)});
+  constraints_.push_back(Constraint{std::move(terms), rel, rhs});
 }
 
 double LpProblem::Evaluate(const std::vector<double>& x) const {

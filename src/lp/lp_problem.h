@@ -2,7 +2,6 @@
 #define OWAN_LP_LP_PROBLEM_H_
 
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,7 +18,6 @@ struct Constraint {
   std::vector<std::pair<int, double>> terms;
   Relation rel = Relation::kLe;
   double rhs = 0.0;
-  std::string name;
 };
 
 struct LpSolution {
@@ -41,13 +39,13 @@ class LpProblem {
  public:
   // Returns the variable index. Bounds may be infinite; lower defaults to 0.
   int AddVariable(double lower = 0.0, double upper = kLpInf,
-                  double objective = 0.0, std::string name = {});
+                  double objective = 0.0);
 
   void SetObjectiveCoef(int var, double coef);
   double ObjectiveCoef(int var) const { return objective_[var]; }
 
   void AddConstraint(std::vector<std::pair<int, double>> terms, Relation rel,
-                     double rhs, std::string name = {});
+                     double rhs);
 
   // true = maximize (default), false = minimize.
   void SetMaximize(bool maximize) { maximize_ = maximize; }
@@ -59,7 +57,6 @@ class LpProblem {
   const std::vector<Constraint>& constraints() const { return constraints_; }
   double lower(int v) const { return lower_[v]; }
   double upper(int v) const { return upper_[v]; }
-  const std::string& VarName(int v) const { return names_[v]; }
 
   // Evaluates the objective at a point (no feasibility check).
   double Evaluate(const std::vector<double>& x) const;
@@ -71,7 +68,6 @@ class LpProblem {
   std::vector<double> objective_;
   std::vector<double> lower_;
   std::vector<double> upper_;
-  std::vector<std::string> names_;
   std::vector<Constraint> constraints_;
   bool maximize_ = true;
 };

@@ -1,6 +1,5 @@
 #include "lp/mcf.h"
 
-#include <string>
 #include <utility>
 
 namespace owan::lp {
@@ -18,17 +17,14 @@ McfBuilder::McfBuilder(const net::Graph& topo,
     paths_[i] = net::KShortestPaths(topo_, c.src, c.dst, k_paths);
     rate_vars_[i].reserve(paths_[i].size());
     for (size_t j = 0; j < paths_[i].size(); ++j) {
-      rate_vars_[i].push_back(lp_.AddVariable(
-          0.0, kLpInf, 0.0,
-          "r_" + std::to_string(i) + "_" + std::to_string(j)));
+      rate_vars_[i].push_back(lp_.AddVariable(0.0, kLpInf, 0.0));
     }
     // Demand row: a commodity never receives more rate than it can use
     // within the slot.
     std::vector<std::pair<int, double>> dterms;
     for (int v : rate_vars_[i]) dterms.emplace_back(v, 1.0);
     if (!dterms.empty()) {
-      lp_.AddConstraint(std::move(dterms), Relation::kLe, c.demand,
-                        "demand_" + std::to_string(i));
+      lp_.AddConstraint(std::move(dterms), Relation::kLe, c.demand);
     }
   }
 
@@ -45,8 +41,8 @@ McfBuilder::McfBuilder(const net::Graph& topo,
   for (net::EdgeId e = 0; e < topo_.NumEdges(); ++e) {
     auto& terms = edge_terms[static_cast<size_t>(e)];
     if (terms.empty()) continue;
-    lp_.AddConstraint(std::move(terms), Relation::kLe, topo_.edge(e).capacity,
-                      "cap_" + std::to_string(e));
+    lp_.AddConstraint(std::move(terms), Relation::kLe,
+                      topo_.edge(e).capacity);
   }
 }
 

@@ -9,6 +9,9 @@ namespace owan::lp {
 
 namespace {
 
+// Pivot and ratio-test tolerance.
+constexpr double kEps = 1e-9;
+
 // Dense tableau simplex operating on the standard form
 //   minimize c^T x   s.t.  A x = b,  x >= 0,  b >= 0.
 // Rows of A already include slack/surplus columns; artificial columns are
@@ -48,7 +51,7 @@ class Tableau {
       if (basis_[r] < art0) continue;
       int pivot_col = -1;
       for (int j = 0; j < art0; ++j) {
-        if (std::abs(a_[r][j]) > opt_.eps) {
+        if (std::abs(a_[r][j]) > kEps) {
           pivot_col = j;
           break;
         }
@@ -85,7 +88,7 @@ class Tableau {
     for (int r = 0; r < rows_; ++r) {
       if (r == pr) continue;
       const double f = a_[r][pc];
-      if (std::abs(f) <= opt_.eps) {
+      if (std::abs(f) <= kEps) {
         a_[r][pc] = 0.0;
         continue;
       }
@@ -116,7 +119,7 @@ class Tableau {
     for (int iter = 0; iter < opt_.max_iterations; ++iter) {
       const bool bland = iter >= opt_.bland_after;
       int enter = -1;
-      double best = -opt_.eps * 10;
+      double best = -kEps * 10;
       for (int j = 0; j < restrict_cols; ++j) {
         const double rc = z[static_cast<size_t>(j)];
         if (rc < -1e-9) {
@@ -139,10 +142,10 @@ class Tableau {
       int leave = -1;
       double best_ratio = 0.0;
       for (int r = 0; r < rows_; ++r) {
-        if (a_[r][enter] > opt_.eps) {
+        if (a_[r][enter] > kEps) {
           const double ratio = b_[r] / a_[r][enter];
-          if (leave < 0 || ratio < best_ratio - opt_.eps ||
-              (std::abs(ratio - best_ratio) <= opt_.eps &&
+          if (leave < 0 || ratio < best_ratio - kEps ||
+              (std::abs(ratio - best_ratio) <= kEps &&
                basis_[r] < basis_[leave])) {
             leave = r;
             best_ratio = ratio;

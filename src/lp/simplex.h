@@ -6,7 +6,6 @@
 namespace owan::lp {
 
 struct SimplexOptions {
-  double eps = 1e-9;
   // Hard cap on pivots per phase; generous for the problem sizes here.
   int max_iterations = 200000;
   // After this many pivots with Dantzig's rule, fall back to Bland's rule to

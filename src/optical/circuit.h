@@ -43,14 +43,6 @@ struct Circuit {
     for (const Segment& s : segments) total += s.length_km;
     return total;
   }
-
-  // Full site sequence src, [regens...], dst.
-  std::vector<net::NodeId> SiteSequence() const {
-    std::vector<net::NodeId> seq{src};
-    seq.insert(seq.end(), regen_sites.begin(), regen_sites.end());
-    seq.push_back(dst);
-    return seq;
-  }
 };
 
 std::string ToString(const Circuit& c);

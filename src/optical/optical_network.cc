@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "net/disjoint_paths.h"
 #include "net/shortest_path.h"
 #include "obs/obs.h"
 #include "optical/regen_graph.h"
@@ -454,88 +453,6 @@ std::optional<CircuitId> OpticalNetwork::ProvisionCircuit(net::NodeId src,
   return std::nullopt;
 }
 
-std::optional<CircuitId> OpticalNetwork::ProvisionCircuitAlongRoute(
-    const net::Path& route) {
-  if (route.edges.empty()) return std::nullopt;
-  for (net::EdgeId f : route.edges) {
-    if (FiberDead(f)) return std::nullopt;
-  }
-
-  // Min-regenerator segmentation along the route: BFS over breakpoint
-  // indices, where hop i->j is allowed if the fiber distance fits the
-  // optical reach and interior breakpoints have a free regenerator.
-  const size_t m = route.nodes.size();
-  std::vector<double> prefix(m, 0.0);
-  for (size_t i = 1; i < m; ++i) {
-    prefix[i] = prefix[i - 1] + fibers_[route.edges[i - 1]].length_km;
-  }
-  std::vector<int> hops(m, -1);
-  std::vector<size_t> back(m, 0);
-  hops[0] = 0;
-  for (size_t i = 0; i < m; ++i) {
-    if (hops[i] < 0) continue;
-    if (i > 0 && i + 1 < m && regens_free_[route.nodes[i]] <= 0) continue;
-    for (size_t j = i + 1; j < m; ++j) {
-      if (prefix[j] - prefix[i] > effective_reach_km_ + 1e-9) break;
-      if (hops[j] < 0 || hops[j] > hops[i] + 1) {
-        hops[j] = hops[i] + 1;
-        back[j] = i;
-      }
-    }
-  }
-  if (hops[m - 1] < 0) return std::nullopt;
-
-  std::vector<size_t> breakpoints;
-  for (size_t cur = m - 1; cur != 0; cur = back[cur]) {
-    breakpoints.push_back(cur);
-  }
-  breakpoints.push_back(0);
-  std::reverse(breakpoints.begin(), breakpoints.end());
-
-  Circuit c;
-  c.src = route.nodes.front();
-  c.dst = route.nodes.back();
-  Bookings booked;
-  for (size_t bi = 0; bi + 1 < breakpoints.size(); ++bi) {
-    const size_t a = breakpoints[bi];
-    const size_t b = breakpoints[bi + 1];
-    Segment s;
-    s.fibers.assign(route.edges.begin() + static_cast<long>(a),
-                    route.edges.begin() + static_cast<long>(b));
-    s.length_km = prefix[b] - prefix[a];
-    s.wavelength = PickWavelength(s.fibers, booked);
-    if (s.wavelength < 0) return std::nullopt;
-    for (net::EdgeId f : s.fibers) booked.emplace_back(f, s.wavelength);
-    c.segments.push_back(std::move(s));
-    if (bi + 2 < breakpoints.size()) {
-      c.regen_sites.push_back(route.nodes[b]);
-    }
-  }
-  GradeCircuit(c);
-  // The effective-reach segmentation bound is contiguous-fiber; a segment
-  // stitched from several fibers (extra remainder spans) can still miss
-  // every tier, which is authoritative.
-  if (qot_.enabled && c.capacity_gbps <= 0.0) return std::nullopt;
-  Commit(c);
-  return c.id;
-}
-
-std::optional<std::pair<CircuitId, CircuitId>>
-OpticalNetwork::ProvisionProtectedPair(net::NodeId src, net::NodeId dst) {
-  auto pair = net::EdgeDisjointPair(
-      fiber_graph_, src, dst,
-      [this](net::EdgeId e) { return !FiberDead(e); });
-  if (!pair) return std::nullopt;
-  auto working = ProvisionCircuitAlongRoute(pair->first);
-  if (!working) return std::nullopt;
-  auto backup = ProvisionCircuitAlongRoute(pair->second);
-  if (!backup) {
-    ReleaseCircuit(*working);
-    return std::nullopt;
-  }
-  return std::make_pair(*working, *backup);
-}
-
 void OpticalNetwork::ReleaseCircuit(CircuitId id) {
   auto it = circuits_.find(id);
   if (it == circuits_.end()) {
@@ -587,17 +504,6 @@ void OpticalNetwork::RewindCircuitIds(CircuitId id) {
   }
   BumpStamp();
   next_circuit_id_ = id;
-}
-
-std::vector<CircuitId> OpticalNetwork::CircuitsBetween(net::NodeId u,
-                                                       net::NodeId v) const {
-  std::vector<CircuitId> out;
-  for (const auto& [id, c] : circuits_) {
-    if ((c.src == u && c.dst == v) || (c.src == v && c.dst == u)) {
-      out.push_back(id);
-    }
-  }
-  return out;
 }
 
 bool OpticalNetwork::CheckInvariants(std::string* error) const {

@@ -153,19 +153,6 @@ class OpticalNetwork {
   // exists with the current resources.
   std::optional<CircuitId> ProvisionCircuit(net::NodeId src, net::NodeId dst);
 
-  // Provisions a circuit constrained to an explicit fiber route (node
-  // sequence over the fiber graph): regeneration points are chosen along
-  // the route by a min-regenerator segmentation, then each segment gets a
-  // wavelength free on all its fibers. Used for protection paths.
-  std::optional<CircuitId> ProvisionCircuitAlongRoute(
-      const net::Path& fiber_route);
-
-  // 1+1 protection: provisions a working and a backup circuit on
-  // fiber-disjoint routes (Suurballe pair over the fiber plant), so a
-  // single fiber cut never kills both. Returns (working, backup).
-  std::optional<std::pair<CircuitId, CircuitId>> ProvisionProtectedPair(
-      net::NodeId src, net::NodeId dst);
-
   // Releases a circuit, freeing its wavelengths and regenerators.
   void ReleaseCircuit(CircuitId id);
 
@@ -191,9 +178,6 @@ class OpticalNetwork {
   const Circuit& circuit(CircuitId id) const { return circuits_.at(id); }
   const std::map<CircuitId, Circuit>& circuits() const { return circuits_; }
   int NumCircuits() const { return static_cast<int>(circuits_.size()); }
-
-  // All circuits between the given site pair (either direction).
-  std::vector<CircuitId> CircuitsBetween(net::NodeId u, net::NodeId v) const;
 
   // Validates internal resource accounting (used by property tests): every
   // in-use wavelength belongs to exactly one circuit, regen counts add up,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "net/shortest_path.h"
 #include "obs/obs.h"
@@ -14,7 +15,12 @@ constexpr double kEps = 1e-7;
 
 AdmissionController::AdmissionController(const net::Graph& topology,
                                          AdmissionOptions options)
-    : topo_(topology), options_(options) {}
+    : topo_(topology), options_(options) {
+  if (!(std::isfinite(options_.slot_seconds) && options_.slot_seconds > 0.0)) {
+    throw std::invalid_argument(
+        "AdmissionController: slot_seconds must be finite and positive");
+  }
+}
 
 int64_t AdmissionController::SlotIndex(double t) const {
   return static_cast<int64_t>(std::floor((t + 1e-9) / options_.slot_seconds));

@@ -56,6 +56,8 @@ class AdmissionController {
     double volume = 0.0;
   };
 
+  // Throws std::invalid_argument unless options.slot_seconds is finite and
+  // positive: every client's clock advances by whole slots.
   AdmissionController(const net::Graph& topology, AdmissionOptions options);
 
   // Decides `r` at virtual time `now` (normally the arrival timestamp).

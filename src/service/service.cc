@@ -516,7 +516,6 @@ bool ControllerService::ExecuteUpdate(const core::TeInput& input, double dur,
   }
   update::ExecutorOptions eopts;
   eopts.actuation = sim_.actuation;
-  eopts.retry = sim_.retry;
   eopts.theta = plant.wavelength_capacity();
   update::UpdateExecutor ex(std::move(ein), eopts);
   // The executor is a pure function of these inputs and its log, so a

@@ -37,6 +37,8 @@ enum class ServiceMode : uint8_t {
 };
 
 struct ServiceOptions {
+  // Finite and positive; the admission ledger's constructor throws
+  // std::invalid_argument otherwise.
   double slot_seconds = 300.0;
   double reconfig_penalty_s = 0.0;
   double max_time_s = 72.0 * 3600.0;
@@ -116,7 +118,7 @@ class ControllerService {
                     ServiceOptions options = {});
   // A passthrough service fed by Submit() with the settings of a batch
   // run: `sim` supplies the slot timing, the fault schedule, update
-  // execution (actuation and retry models, the crash hook) and invariant
+  // execution (the actuation model, the crash hook) and invariant
   // checks. For callers that interleave Submit, ReportFault and Checkpoint
   // with Step.
   ControllerService(const topo::Wan* wan,

@@ -38,14 +38,13 @@ struct SimOptions {
   bool check_invariants = true;
   // Run each slot's reconfiguration through the update execution engine
   // (update::UpdateExecutor) instead of assuming it lands instantly: ops
-  // draw latency/failure from `actuation`, retry per `retry`, and the slot
-  // keeps whatever topology/routes the plant actually reached. A fault
-  // event that truncates the interval mid-update safe-aborts the update
-  // (stage-by-stage rollback) before the fault is processed. Off by
+  // draw latency/failure from `actuation`, retry with bounded backoff, and
+  // the slot keeps whatever topology/routes the plant actually reached. A
+  // fault event that truncates the interval mid-update safe-aborts the
+  // update (stage-by-stage rollback) before the fault is processed. Off by
   // default — goldens and legacy comparisons are unchanged.
   bool execute_updates = false;
   fault::ActuationModel actuation;
-  update::RetryPolicy retry;
   // Test hook for a controller crash in the middle of an executed update:
   // once the update's write-ahead intent log holds this many records the
   // slot parks — clock, transfers and frozen rates keep their pre-update

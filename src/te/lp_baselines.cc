@@ -10,6 +10,9 @@ namespace owan::te {
 
 namespace {
 constexpr double kEps = 1e-7;
+// SWAN's fairness-approximation rounds (each round is one LP solve; 4
+// captures nearly all of the fairness at a quarter of the cost).
+constexpr int kMaxFairnessRounds = 4;
 }
 
 std::vector<lp::Commodity> LpTeBase::ToCommodities(
@@ -141,7 +144,7 @@ core::TeOutput MaxMinThenThroughput(
   {
     lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, targets), k_paths);
     lp::LpProblem& p = mcf.lp();
-    const int t_var = p.AddVariable(0.0, 1.0, 1.0, "t");
+    const int t_var = p.AddVariable(0.0, 1.0, 1.0);
     p.SetMaximize(true);
     for (int i = 0; i < mcf.NumCommodities(); ++i) {
       if (mcf.PathsFor(i).empty()) continue;
@@ -258,7 +261,7 @@ core::TeOutput SwanTe::Compute(const core::TeInput& input) {
   std::vector<double> caps(n);
   for (size_t i = 0; i < n; ++i) caps[i] = demands[i].rate_cap;
 
-  for (int round = 0; round < options_.max_fairness_rounds; ++round) {
+  for (int round = 0; round < kMaxFairnessRounds; ++round) {
     bool any_unfrozen = false;
     for (size_t i = 0; i < n; ++i) {
       if (frozen_rate[i] < 0.0 && caps[i] > kEps) any_unfrozen = true;
@@ -268,7 +271,7 @@ core::TeOutput SwanTe::Compute(const core::TeInput& input) {
     lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, caps),
                        options_.k_paths);
     lp::LpProblem& p = mcf.lp();
-    const int t_var = p.AddVariable(0.0, 1.0, 1.0, "t");
+    const int t_var = p.AddVariable(0.0, 1.0, 1.0);
     p.SetMaximize(true);
     for (size_t i = 0; i < n; ++i) {
       if (mcf.PathsFor(static_cast<int>(i)).empty() || caps[i] <= kEps) {

@@ -11,9 +11,6 @@ namespace owan::te {
 
 struct LpTeOptions {
   int k_paths = 3;
-  // SWAN's fairness-approximation rounds (each round is one LP solve; 4
-  // captures nearly all of the fairness at a quarter of the cost).
-  int max_fairness_rounds = 4;
 };
 
 // Shared machinery for the network-layer-only LP baselines: builds the

@@ -13,6 +13,23 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
+// Bounded exponential-backoff retries for actuation attempts. An attempt
+// that outlasts kTimeoutFactor times its op's nominal duration counts as
+// failed; a forward op gets kMaxAttempts attempts, a rollback undo retries
+// until it lands.
+constexpr int kMaxAttempts = 3;
+constexpr double kTimeoutFactor = 4.0;
+constexpr double kBackoffBaseS = 0.5;  // wait before attempt 2
+constexpr double kBackoffFactor = 2.0;  // multiplier per further attempt
+constexpr double kBackoffMaxS = 30.0;
+
+// Wait after `attempt` attempts have failed.
+double BackoffAfter(int attempt) {
+  double b = kBackoffBaseS;
+  for (int i = 1; i < attempt; ++i) b *= kBackoffFactor;
+  return std::min(b, kBackoffMaxS);
+}
+
 using LinkKey = std::pair<net::NodeId, net::NodeId>;
 
 LinkKey Key(net::NodeId a, net::NodeId b) {
@@ -21,15 +38,8 @@ LinkKey Key(net::NodeId a, net::NodeId b) {
 
 }  // namespace
 
-double RetryPolicy::BackoffAfter(int attempt) const {
-  double b = backoff_base_s;
-  for (int i = 1; i < attempt; ++i) b *= backoff_factor;
-  return std::min(b, backoff_max_s);
-}
-
 UpdateExecutor::UpdateExecutor(ExecutorInput input, ExecutorOptions options)
     : options_(options),
-      retry_(options.retry),
       from_(std::move(input.from)),
       old_routes_(std::move(input.old_routes)),
       new_routes_(std::move(input.new_routes)),
@@ -410,13 +420,13 @@ void UpdateExecutor::ProcessAttemptEnd(int op) {
     return;
   }
   AccountAttemptFailure(op);
-  if (r.attempts >= MaxAttempts()) {
+  if (r.attempts >= kMaxAttempts) {
     log_.records.push_back({IntentKind::kOpFailed, op, r.attempts, t});
     ApplyOpFailed(op, t);
     return;
   }
   r.state = OpState::kBackoff;
-  r.event_time = t + retry_.BackoffAfter(r.attempts);
+  r.event_time = t + BackoffAfter(r.attempts);
 }
 
 void UpdateExecutor::EvaluateCompletion() {
@@ -451,7 +461,7 @@ void UpdateExecutor::ProcessUndoEnd() {
   AccountUndoFailure();
   // Rollback must land: retry forever with capped backoff.
   undo_running_ = false;
-  undo_event_ = now_ + retry_.BackoffAfter(undo_attempt_);
+  undo_event_ = now_ + BackoffAfter(undo_attempt_);
 }
 
 void UpdateExecutor::FinishAbort() {
@@ -484,9 +494,7 @@ void UpdateExecutor::ApplyAttemptStart(int op, int attempt, double t) {
   r.sample = fault::SampleActuation(options_.actuation, op, attempt,
                                     IsCircuitOp(o), o.duration_s,
                                     fault::ActuationPhase::kForward);
-  const double timeout = retry_.timeout_factor > 0
-                             ? retry_.timeout_factor * o.duration_s
-                             : kInf;
+  const double timeout = kTimeoutFactor * o.duration_s;
   r.timed_out = r.sample.latency_s > timeout;
   r.attempt_end = t + std::min(r.sample.latency_s, timeout);
   r.event_time = r.attempt_end;
@@ -699,9 +707,7 @@ void UpdateExecutor::ApplyUndoStart(int op, int attempt, double t) {
   undo_sample_ = fault::SampleActuation(options_.actuation, op, attempt,
                                         IsCircuitOp(o), o.duration_s,
                                         fault::ActuationPhase::kRollback);
-  const double timeout = retry_.timeout_factor > 0
-                             ? retry_.timeout_factor * o.duration_s
-                             : kInf;
+  const double timeout = kTimeoutFactor * o.duration_s;
   undo_timed_out_ = undo_sample_.latency_s > timeout;
   undo_event_ = t + std::min(undo_sample_.latency_s, timeout);
   stats_.attempts++;

@@ -15,26 +15,11 @@
 
 namespace owan::update {
 
-// Bounded exponential-backoff retry policy for actuation attempts.
-struct RetryPolicy {
-  int max_attempts = 3;  // forward-phase attempts per op (>= 1)
-  // Attempt timeout = timeout_factor * nominal duration (0 = no timeout).
-  // A timed-out attempt counts as failed and is retried.
-  double timeout_factor = 4.0;
-  double backoff_base_s = 0.5;  // wait before attempt 2
-  double backoff_factor = 2.0;  // multiplier per further attempt
-  double backoff_max_s = 30.0;
-
-  // Wait after `attempt` attempts have failed.
-  double BackoffAfter(int attempt) const;
-};
-
 struct ExecutorOptions {
   // Default-constructed model = nominal plant: every op succeeds in exactly
   // its planned duration and the executor reproduces ScheduleConsistent
   // bit-for-bit (same makespan, same op timeline).
   fault::ActuationModel actuation;
-  RetryPolicy retry;
   // Wavelength capacity (Gbps) for mid-update rate clamping + stage checks.
   double theta = 10.0;
   // Safe-abort once more than this many ops permanently fail (< 0 = no
@@ -102,7 +87,8 @@ struct ExecResult {
 //     (wave staging, draining routes, make-before-break cleanup, per-site
 //     port ledger, Dionysus stall breaking via PickStallVictim).
 //   * Each attempt draws (latency, failure) from the seeded actuation
-//     model; timeouts and failures retry with bounded exponential backoff.
+//     model; timeouts and failures retry with bounded exponential backoff
+//     (the retry constants at the top of executor.cc).
 //   * Permanent failures trigger plan repair: a failed circuit bring-up
 //     falls back to one alternate circuit (fresh op, fresh substream); a
 //     failed route removal is drained by rate-limiting it to zero; a
@@ -185,7 +171,6 @@ class UpdateExecutor {
   bool IsCircuitOp(const UpdateOp& op) const {
     return op.type == OpType::kAddCircuit || op.type == OpType::kRemoveCircuit;
   }
-  int MaxAttempts() const { return retry_.max_attempts < 1 ? 1 : retry_.max_attempts; }
 
   // ---- live-only decision points (append records, then apply) ----
   bool StepOnce(double t_limit);
@@ -228,7 +213,6 @@ class UpdateExecutor {
   double NextEventTime() const;
 
   ExecutorOptions options_;
-  RetryPolicy retry_;
   core::Topology from_;
   std::vector<core::TransferAllocation> old_routes_, new_routes_;
   StagedPlan staged_;  // staged_.plan.ops grows when alternates spawn

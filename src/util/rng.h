@@ -41,16 +41,6 @@ class Rng {
     return d(engine_);
   }
 
-  // Poisson-process inter-arrival gap with the given rate (events per unit
-  // time).
-  double InterArrival(double rate) { return Exponential(1.0 / rate); }
-
-  // Normal distribution.
-  double Normal(double mean, double stddev) {
-    std::normal_distribution<double> d(mean, stddev);
-    return d(engine_);
-  }
-
   // Bernoulli trial.
   bool Chance(double p) { return Uniform() < p; }
 

@@ -135,6 +135,17 @@ TEST_F(ReservationTest, RejectsNonFiniteInputs) {
   EXPECT_EQ(svc.reservations().size(), 0u);
 }
 
+TEST_F(ReservationTest, RejectsSlotLengthThatIsNotFiniteAndPositive) {
+  // The ledger's constructor rejects the slot length, NaN included.
+  for (double slot : {0.0, std::numeric_limits<double>::quiet_NaN()}) {
+    ReservationOptions opt;
+    opt.slot_seconds = slot;
+    EXPECT_THROW(ReservationService(wan_.default_topology, wan_.optical, opt),
+                 std::invalid_argument)
+        << slot;
+  }
+}
+
 TEST_F(ReservationTest, RejectsOutOfRangeNodes) {
   auto svc = MakeService();
   EXPECT_FALSE(svc.Request(-1, 1, 5.0, 0.0, 300.0).has_value());

@@ -192,6 +192,48 @@ TEST(AnnealParallelTest, BatchedSearchIsDeterministic) {
                                        demands, serial_batch, rng3);
   EXPECT_TRUE(a.best_topology == c.best_topology);
   EXPECT_DOUBLE_EQ(a.best_energy, c.best_energy);
+
+  // Golden values of the batched search itself, a different walk from the
+  // serial one (see BatchedSearchGoldenOnIsp40).
+  EXPECT_DOUBLE_EQ(a.best_energy, 80.0);
+  EXPECT_EQ(a.iterations, 200);
+  EXPECT_EQ(a.accepted, 31);
+  EXPECT_EQ(a.circuit_changes, 16);
+  EXPECT_EQ(TopologyHash(a.best_topology), 402790011245789203ULL);
+  EXPECT_DOUBLE_EQ(rng1.Uniform(), 0.62250858708387613);
+}
+
+TEST(AnnealParallelTest, BatchedSearchGoldenOnIsp40) {
+  // On the 40-site ISP backbone the batched and the serial search end on
+  // different topologies from the same seed (600 against 400 Gbps here),
+  // so each is pinned on its own.
+  topo::Wan wan = topo::MakeByName("isp40");
+  const std::vector<TransferDemand> demands = {
+      Demand(0, 0, 39, 400.0),  Demand(1, 3, 27, 400.0),
+      Demand(2, 11, 30, 400.0), Demand(3, 17, 5, 400.0),
+      Demand(4, 22, 8, 400.0),  Demand(5, 34, 14, 400.0)};
+  for (int threads : {4, 1}) {
+    AnnealOptions opt = GoldenOptions();
+    opt.batch_size = 4;
+    opt.num_threads = threads;
+    util::Rng rng(555);
+    AnnealResult res = ComputeNetworkState(wan.default_topology, wan.optical,
+                                           demands, opt, rng);
+    SCOPED_TRACE(threads);
+    EXPECT_DOUBLE_EQ(res.best_energy, 600.0);
+    EXPECT_EQ(res.iterations, 200);
+    EXPECT_EQ(res.accepted, 48);
+    EXPECT_EQ(res.circuit_changes, 46);
+    EXPECT_EQ(TopologyHash(res.best_topology), 1854482038536078955ULL);
+    EXPECT_DOUBLE_EQ(rng.Uniform(), 0.87277755427645742);
+  }
+  AnnealOptions serial = GoldenOptions();
+  util::Rng rng(555);
+  AnnealResult res = ComputeNetworkState(wan.default_topology, wan.optical,
+                                         demands, serial, rng);
+  EXPECT_DOUBLE_EQ(res.best_energy, 400.0);
+  EXPECT_EQ(res.accepted, 136);
+  EXPECT_EQ(TopologyHash(res.best_topology), 12838208474178726828ULL);
 }
 
 TEST(AnnealParallelTest, ExternalPoolReusedAcrossCalls) {

@@ -10,8 +10,8 @@ namespace {
 TEST(SimplexTest, SimpleMaximize) {
   // max x + y st x <= 3, y <= 4.
   LpProblem p;
-  const int x = p.AddVariable(0, 3, 1.0, "x");
-  const int y = p.AddVariable(0, 4, 1.0, "y");
+  const int x = p.AddVariable(0, 3, 1.0);
+  const int y = p.AddVariable(0, 4, 1.0);
   auto sol = Solve(p);
   ASSERT_TRUE(sol.ok());
   EXPECT_NEAR(sol.objective, 7.0, 1e-7);

@@ -115,16 +115,6 @@ TEST(OpticalNetworkTest, WavelengthContinuityWithinSegment) {
   }
 }
 
-TEST(OpticalNetworkTest, CircuitsBetweenFindsBothDirections) {
-  OpticalNetwork on = MakeLine();
-  auto a = on.ProvisionCircuit(0, 1);
-  auto b = on.ProvisionCircuit(1, 0);
-  ASSERT_TRUE(a && b);
-  EXPECT_EQ(on.CircuitsBetween(0, 1).size(), 2u);
-  EXPECT_EQ(on.CircuitsBetween(1, 0).size(), 2u);
-  EXPECT_TRUE(on.CircuitsBetween(0, 2).empty());
-}
-
 TEST(OpticalNetworkTest, InvalidEndpoints) {
   OpticalNetwork on = MakeLine();
   EXPECT_FALSE(on.ProvisionCircuit(0, 0).has_value());

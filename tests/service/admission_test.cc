@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "net/shortest_path.h"
@@ -195,6 +196,18 @@ TEST_F(AdmissionTest, AuditCatchesLedgerDrift) {
     ASSERT_TRUE(adm.RestoreLine(tag, ls));
   }
   EXPECT_FALSE(adm.Audit().empty());
+}
+
+TEST_F(AdmissionTest, SlotLengthMustBeFiniteAndPositive) {
+  // A slot of zero or less never advances a client's clock, and NaN or
+  // infinity poison every slot index: the constructor refuses them all.
+  for (double slot : {0.0, -300.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    AdmissionOptions opt;
+    opt.slot_seconds = slot;
+    EXPECT_THROW(AdmissionController(graph_, opt), std::invalid_argument)
+        << slot;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -243,6 +244,27 @@ TEST(ServiceOnline, SubmitValidatesRequests) {
   svc.Submit(Req(0, 0, 1, 100.0, 500.0));
   EXPECT_THROW(svc.Submit(Req(1, 0, 1, 100.0, 400.0)),  // clock went back
                std::invalid_argument);
+}
+
+TEST(ServiceOnline, SlotLengthMustBeFiniteAndPositive) {
+  // Each interval advances the clock by one slot, so a slot of zero or less
+  // would never drain nor reach max_time_s: construction refuses it.
+  const topo::Wan wan = topo::MakeInternet2();
+  for (double slot : {0.0, -300.0, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity()}) {
+    ServiceOptions opt = OnlineOpts();
+    opt.slot_seconds = slot;
+    EXPECT_THROW(ControllerService(&wan, std::make_unique<TestRateScheme>(10.0),
+                                   opt),
+                 std::invalid_argument)
+        << slot;
+    sim::SimOptions sim;
+    sim.slot_seconds = slot;
+    EXPECT_THROW(ControllerService(&wan, std::make_unique<TestRateScheme>(10.0),
+                                   sim),
+                 std::invalid_argument)
+        << slot;
+  }
 }
 
 // ---------------------------------------------------------------------------
