@@ -88,6 +88,28 @@ void BM_RegenGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_RegenGraphBuild);
 
+// What ProvisionCircuit pays for its regenerator graph: the build plus
+// CandidateSequences(k) for every ordered site pair of isp100, on a warmed
+// fiber-route table. Items are site pairs.
+void BM_RegenCandidates(benchmark::State& state) {
+  const topo::Wan wan = topo::MakeByName("isp100");
+  const optical::OpticalNetwork& on = wan.optical;
+  const int n = on.NumSites();
+  const int k = static_cast<int>(state.range(0));
+  for (net::NodeId u = 0; u < n; ++u) on.ReachPeers(u);
+  for (auto _ : state) {
+    for (net::NodeId u = 0; u < n; ++u) {
+      for (net::NodeId v = 0; v < n; ++v) {
+        if (u == v) continue;
+        const optical::RegenGraph rg(on, u, v, on.balance_regens());
+        benchmark::DoNotOptimize(rg.CandidateSequences(k));
+      }
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n * (n - 1));
+}
+BENCHMARK(BM_RegenCandidates)->Arg(1)->Arg(8);
+
 void BM_YenKShortest(benchmark::State& state) {
   topo::Wan wan = topo::MakeIspBackbone();
   const net::Graph g = wan.default_topology.ToGraph(100.0);

@@ -107,12 +107,16 @@ int main(int argc, char** argv) {
       args.scheme = argv[++i];
     } else if (!std::strcmp(argv[i], "--load")) {
       if (!next(args.load)) return Usage();
+      if (!(std::isfinite(args.load) && args.load >= 0.0)) return Usage();
     } else if (!std::strcmp(argv[i], "--sigma")) {
       if (!next(args.sigma)) return Usage();
     } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
       args.seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (!std::strcmp(argv[i], "--duration")) {
       if (!next(args.duration)) return Usage();
+      if (!(std::isfinite(args.duration) && args.duration > 0.0)) {
+        return Usage();
+      }
     } else if (!std::strcmp(argv[i], "--slot")) {
       if (!next(args.slot)) return Usage();
       if (!(std::isfinite(args.slot) && args.slot > 0.0)) return Usage();
@@ -161,9 +165,12 @@ int main(int argc, char** argv) {
               wan.name.c_str(), scheme->name().c_str(), args.load,
               args.sigma, static_cast<unsigned long long>(args.seed),
               reqs.size());
-  std::printf("avg_completion_s\t%.1f\n", ct.Mean());
-  std::printf("p50_completion_s\t%.1f\n", ct.Median());
-  std::printf("p95_completion_s\t%.1f\n", ct.Percentile(95));
+  // No transfer completed (an empty workload): no completion times.
+  if (!ct.empty()) {
+    std::printf("avg_completion_s\t%.1f\n", ct.Mean());
+    std::printf("p50_completion_s\t%.1f\n", ct.Median());
+    std::printf("p95_completion_s\t%.1f\n", ct.Percentile(95));
+  }
   std::printf("makespan_s\t%.1f\n", res.makespan);
   std::printf("topology_changes\t%d\n", res.topology_changes);
   if (args.sigma > 1.0) {

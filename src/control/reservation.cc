@@ -12,6 +12,10 @@ namespace owan::control {
 namespace {
 
 constexpr double kEps = 1e-9;
+// Paths per pair on the ledger. Guarantees may need genuinely disjoint
+// alternates, which sit deeper in the k-shortest list than TE's working
+// paths do.
+constexpr int kPathsPerPair = 6;
 
 // Greedy split of `rate` over the ledger's k shortest paths, shortest
 // first: each takes the least rate its edges have free in every slot of
@@ -51,7 +55,7 @@ ReservationService::ReservationService(const core::Topology& topology,
       options_(options),
       ledger_(topology.ToGraph(optical.wavelength_capacity()),
               service::AdmissionOptions{options.slot_seconds,
-                                        options.k_paths}) {
+                                        kPathsPerPair}) {
   // Claim the plant's view of the current topology so boosts only use
   // genuinely spare optical resources.
   core::ProvisionedState seed(optical_);

@@ -34,9 +34,6 @@ struct Reservation {
 
 struct ReservationOptions {
   double slot_seconds = 300.0;
-  // Guarantees may need genuinely disjoint alternates, which sit deeper in
-  // the k-shortest list than TE's working paths do.
-  int k_paths = 6;
   // Allow admission to claim a spare optical circuit (one wavelength)
   // between the endpoints when the packet topology is full.
   bool allow_optical_boost = true;

@@ -1,7 +1,5 @@
 #include "core/provisioned_state.h"
 
-#include <algorithm>
-
 namespace owan::core {
 
 ProvisionedState::ProvisionedState(optical::OpticalNetwork optical)
@@ -104,39 +102,6 @@ std::vector<optical::CircuitId> ProvisionedState::LinkCircuits(
   auto it = link_circuits_.find(Key(u, v));
   if (it == link_circuits_.end()) return {};
   return it->second;
-}
-
-std::vector<Link> ProvisionedState::HandleFiberFailure(net::EdgeId fiber) {
-  return DropCircuits(optical_.FailFiber(fiber));
-}
-
-std::vector<Link> ProvisionedState::HandleFiberDegradation(net::EdgeId fiber,
-                                                           double db) {
-  return DropCircuits(optical_.DegradeFiber(fiber, db));
-}
-
-std::vector<Link> ProvisionedState::DropCircuits(
-    const std::vector<optical::CircuitId>& victims) {
-  std::vector<Link> lost;
-  for (optical::CircuitId id : victims) {
-    for (auto& [key, circuits] : link_circuits_) {
-      auto it = std::find(circuits.begin(), circuits.end(), id);
-      if (it == circuits.end()) continue;
-      circuits.erase(it);
-      realized_.AddUnits(key.first, key.second, -1);
-      bool merged = false;
-      for (Link& l : lost) {
-        if (Key(l.u, l.v) == key) {
-          ++l.units;
-          merged = true;
-          break;
-        }
-      }
-      if (!merged) lost.push_back(Link{key.first, key.second, 1});
-      break;
-    }
-  }
-  return lost;
 }
 
 }  // namespace owan::core

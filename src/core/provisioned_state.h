@@ -69,19 +69,7 @@ class ProvisionedState {
   std::vector<optical::CircuitId> LinkCircuits(net::NodeId u,
                                                net::NodeId v) const;
 
-  // Tears down circuits crossing a failed fiber and shrinks the realized
-  // topology accordingly; returns affected (u,v,units_lost) links.
-  std::vector<Link> HandleFiberFailure(net::EdgeId fiber);
-
-  // Span degradation: sets the fiber's extra attenuation. Under QoT the
-  // crossing circuits are re-graded (their link capacities shift) and any
-  // that no longer close are torn down like a cut — the returned links are
-  // those lost units. Legacy mode records the level and returns empty.
-  std::vector<Link> HandleFiberDegradation(net::EdgeId fiber, double db);
-
  private:
-  // Maps torn-down circuits to (u,v,units_lost) links and shrinks realized_.
-  std::vector<Link> DropCircuits(const std::vector<optical::CircuitId>& victims);
   static std::pair<net::NodeId, net::NodeId> Key(net::NodeId u,
                                                  net::NodeId v) {
     return u < v ? std::make_pair(u, v) : std::make_pair(v, u);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <climits>
+#include <functional>
 #include <queue>
-#include <set>
 
 namespace owan::net {
 
@@ -25,8 +25,29 @@ Path SpTree::Extract(NodeId dst) const {
   return p;
 }
 
-SpTree Dijkstra(const Graph& g, NodeId src, const EdgeFilter& filter) {
+Csr ToCsr(const Graph& g, const DeadMask* dead) {
   const int n = g.NumNodes();
+  Csr c;
+  c.begin.assign(static_cast<size_t>(n) + 1, 0);
+  const size_t arcs = 2 * static_cast<size_t>(g.NumEdges());
+  c.head.reserve(arcs);
+  c.edge.reserve(arcs);
+  c.weight.reserve(arcs);
+  for (NodeId u = 0; u < n; ++u) {
+    for (EdgeId e : g.Incident(u)) {
+      if (dead != nullptr && (*dead)[e]) continue;
+      const Edge& edge = g.edge(e);
+      c.head.push_back(edge.Other(u));
+      c.edge.push_back(e);
+      c.weight.push_back(edge.weight);
+    }
+    c.begin[static_cast<size_t>(u) + 1] = static_cast<int>(c.head.size());
+  }
+  return c;
+}
+
+SpTree Dijkstra(const Csr& csr, NodeId src) {
+  const int n = csr.NumNodes();
   SpTree t;
   t.dist.assign(n, kInfDist);
   t.parent.assign(n, -1);
@@ -40,15 +61,13 @@ SpTree Dijkstra(const Graph& g, NodeId src, const EdgeFilter& filter) {
     const auto [d, u] = pq.top();
     pq.pop();
     if (d > t.dist[u]) continue;
-    for (EdgeId e : g.Incident(u)) {
-      if (filter && !filter(e)) continue;
-      const Edge& edge = g.edge(e);
-      const NodeId v = edge.Other(u);
-      const double nd = d + edge.weight;
+    for (int a = csr.begin[u]; a < csr.begin[u + 1]; ++a) {
+      const NodeId v = csr.head[a];
+      const double nd = d + csr.weight[a];
       if (nd < t.dist[v]) {
         t.dist[v] = nd;
         t.parent[v] = u;
-        t.parent_edge[v] = e;
+        t.parent_edge[v] = csr.edge[a];
         pq.emplace(nd, v);
       }
     }
@@ -56,152 +75,201 @@ SpTree Dijkstra(const Graph& g, NodeId src, const EdgeFilter& filter) {
   return t;
 }
 
-SpTree BfsTree(const Graph& g, NodeId src, const EdgeFilter& filter) {
+SpTree BfsTree(const Graph& g, NodeId src) {
   const int n = g.NumNodes();
   SpTree t;
   t.dist.assign(n, kInfDist);
   t.parent.assign(n, -1);
   t.parent_edge.assign(n, kInvalidEdge);
   if (src < 0 || src >= n) return t;
-  if (!filter) {
-    // Unfiltered hot path (cache invalidation bounds run this per changed
-    // link per candidate): level-frontier sweep over the flat arc array.
-    // Frontier order equals FIFO-queue discovery order, so the parent tree
-    // is bit-identical to the general loop below.
-    thread_local std::vector<NodeId> frontier;
-    thread_local std::vector<NodeId> next;
-    frontier.assign(1, src);
-    t.dist[src] = 0.0;
-    double d = 0.0;
-    while (!frontier.empty()) {
-      next.clear();
-      d += 1.0;
-      for (const NodeId u : frontier) {
-        for (const Graph::Arc& a : g.Arcs(u)) {
-          if (t.dist[a.to] == kInfDist) {
-            t.dist[a.to] = d;
-            t.parent[a.to] = u;
-            t.parent_edge[a.to] = a.e;
-            next.push_back(a.to);
-          }
+  // Cache invalidation bounds run this per changed link per candidate:
+  // level-frontier sweep over the flat arc array, in FIFO-queue discovery
+  // order.
+  thread_local std::vector<NodeId> frontier;
+  thread_local std::vector<NodeId> next;
+  frontier.assign(1, src);
+  t.dist[src] = 0.0;
+  double d = 0.0;
+  while (!frontier.empty()) {
+    next.clear();
+    d += 1.0;
+    for (const NodeId u : frontier) {
+      for (const Graph::Arc& a : g.Arcs(u)) {
+        if (t.dist[a.to] == kInfDist) {
+          t.dist[a.to] = d;
+          t.parent[a.to] = u;
+          t.parent_edge[a.to] = a.e;
+          next.push_back(a.to);
         }
       }
-      frontier.swap(next);
     }
-    return t;
-  }
-  std::queue<NodeId> q;
-  t.dist[src] = 0.0;
-  q.push(src);
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop();
-    for (EdgeId e : g.Incident(u)) {
-      if (filter && !filter(e)) continue;
-      const NodeId v = g.edge(e).Other(u);
-      if (t.dist[v] == kInfDist) {
-        t.dist[v] = t.dist[u] + 1.0;
-        t.parent[v] = u;
-        t.parent_edge[v] = e;
-        q.push(v);
-      }
-    }
+    frontier.swap(next);
   }
   return t;
 }
 
-std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst,
-                                 const EdgeFilter& filter) {
-  if (src == dst) {
-    Path p;
-    p.nodes = {src};
-    return p;
-  }
-  const SpTree t = Dijkstra(g, src, filter);
-  if (!t.Reachable(dst)) return std::nullopt;
-  return t.Extract(dst);
-}
+YenSearch::YenSearch(const Csr& csr, NodeId src, NodeId dst)
+    : csr_(csr),
+      src_(src),
+      dst_(dst),
+      done_(src != dst && (src < 0 || dst < 0 || src >= csr.NumNodes() ||
+                           dst >= csr.NumNodes())),
+      state_(static_cast<size_t>(csr.NumNodes())) {}
 
-namespace {
-
-// Orders candidate paths in Yen's algorithm: by length, then lexicographic
-// node sequence for determinism.
-struct PathLess {
-  bool operator()(const Path& a, const Path& b) const {
-    if (a.length != b.length) return a.length < b.length;
-    return a.nodes < b.nodes;
-  }
-};
-
-}  // namespace
-
-std::vector<Path> KShortestPaths(const Graph& g, NodeId src, NodeId dst,
-                                 int k, const EdgeFilter& filter) {
-  std::vector<Path> result;
-  if (k <= 0) return result;
-  auto first = ShortestPath(g, src, dst, filter);
-  if (!first) return result;
-  result.push_back(*first);
-
-  std::set<Path, PathLess> candidates;
-  std::set<std::vector<NodeId>> known;
-  known.insert(first->nodes);
-
-  while (static_cast<int>(result.size()) < k) {
-    const Path& prev = result.back();
-    // For each node in the previous path except the last, branch off.
-    for (size_t i = 0; i + 1 < prev.nodes.size(); ++i) {
-      const NodeId spur = prev.nodes[i];
-      // Root: prev.nodes[0..i].
-      std::vector<NodeId> root(prev.nodes.begin(),
-                               prev.nodes.begin() + static_cast<long>(i) + 1);
-      std::vector<EdgeId> root_edges(
-          prev.edges.begin(), prev.edges.begin() + static_cast<long>(i));
-
-      // Mask edges that would recreate an already-known path sharing this
-      // root, and mask root nodes (except the spur) to keep paths loopless.
-      std::set<EdgeId> banned_edges;
-      for (const Path& p : result) {
-        if (p.nodes.size() > i &&
-            std::equal(root.begin(), root.end(), p.nodes.begin())) {
-          banned_edges.insert(p.edges[i]);
-        }
+std::optional<YenSearch::Stored> YenSearch::Spur(NodeId from, size_t root,
+                                                size_t spur) {
+  ++epoch_;
+  for (size_t j = 0; j < spur; ++j) state_[nodes_[root + j]].banned = epoch_;
+  const auto dist = [&](NodeId v) {
+    return state_[v].stamp == epoch_ ? state_[v].dist : kInfDist;
+  };
+  // Heap keys (distance, node) are all distinct, since a node is pushed
+  // again only at a strictly smaller distance: the pop order, and with it
+  // every tie-break, is that of any min-heap over the same keys. Paths
+  // into dst_ are final once it pops.
+  heap_.clear();
+  state_[from].stamp = epoch_;
+  state_[from].dist = 0.0;
+  heap_.emplace_back(0.0, from);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [d, u] = heap_.back();
+    heap_.pop_back();
+    if (d > state_[u].dist) continue;
+    if (u == dst_) break;
+    for (int a = csr_.begin[u], end = csr_.begin[u + 1]; a < end; ++a) {
+      const NodeId v = csr_.head[a];
+      if (state_[v].banned == epoch_) continue;
+      if (u == from && std::find(banned_arcs_.begin(), banned_arcs_.end(),
+                                 a) != banned_arcs_.end()) {
+        continue;
       }
-      std::set<NodeId> banned_nodes(root.begin(), root.end());
-      banned_nodes.erase(spur);
-
-      EdgeFilter spur_filter = [&](EdgeId e) {
-        if (filter && !filter(e)) return false;
-        if (banned_edges.count(e)) return false;
-        const Edge& edge = g.edge(e);
-        if (banned_nodes.count(edge.u) || banned_nodes.count(edge.v)) {
-          return false;
-        }
-        return true;
-      };
-
-      auto spur_path = ShortestPath(g, spur, dst, spur_filter);
-      if (!spur_path) continue;
-
-      Path total;
-      total.nodes = root;
-      total.nodes.insert(total.nodes.end(), spur_path->nodes.begin() + 1,
-                         spur_path->nodes.end());
-      total.edges = root_edges;
-      total.edges.insert(total.edges.end(), spur_path->edges.begin(),
-                         spur_path->edges.end());
-      total.length = 0.0;
-      for (EdgeId e : total.edges) total.length += g.edge(e).weight;
-      if (!known.count(total.nodes)) {
-        known.insert(total.nodes);
-        candidates.insert(std::move(total));
+      const double nd = d + csr_.weight[a];
+      if (nd < dist(v)) {
+        NodeState& s = state_[v];
+        s.stamp = epoch_;
+        s.dist = nd;
+        s.parent = u;
+        s.parent_arc = a;
+        heap_.emplace_back(nd, v);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
       }
     }
-    if (candidates.empty()) break;
-    result.push_back(*candidates.begin());
-    candidates.erase(candidates.begin());
   }
-  return result;
+  if (state_[dst_].stamp != epoch_) return std::nullopt;
+
+  // Route: the root prefix, then the spur path walked back from dst_.
+  size_t size = spur + 1;
+  for (NodeId v = dst_; v != from; v = state_[v].parent) ++size;
+  const size_t begin = nodes_.size();
+  nodes_.resize(begin + size);
+  arcs_.resize(begin + size);
+  std::copy_n(nodes_.begin() + static_cast<long>(root), spur,
+              nodes_.begin() + static_cast<long>(begin));
+  std::copy_n(arcs_.begin() + static_cast<long>(root), spur,
+              arcs_.begin() + static_cast<long>(begin));
+  size_t pos = begin + size - 1;
+  nodes_[pos] = dst_;
+  arcs_[pos] = -1;
+  for (NodeId v = dst_; v != from; v = state_[v].parent) {
+    --pos;
+    nodes_[pos] = state_[v].parent;
+    arcs_[pos] = state_[v].parent_arc;
+  }
+  Stored r{begin, size, 0.0};
+  for (int a : View(r).arcs) r.length += csr_.weight[a];
+  return r;
+}
+
+bool YenSearch::Known(std::span<const NodeId> nodes) const {
+  const auto same = [&](const Stored& r) {
+    return std::ranges::equal(Nodes(r), nodes);
+  };
+  return std::ranges::any_of(found_, same) ||
+         std::ranges::any_of(candidates_, same);
+}
+
+std::optional<YenSearch::Route> YenSearch::Next() {
+  if (done_) return std::nullopt;
+  if (found_.empty()) {
+    std::optional<Stored> first;
+    if (src_ == dst_) {
+      nodes_.push_back(src_);
+      arcs_.push_back(-1);
+      first = Stored{0, 1, 0.0};
+    } else {
+      first = Spur(src_, 0, 0);
+    }
+    if (!first) {
+      done_ = true;
+      return std::nullopt;
+    }
+    found_.push_back(*first);
+    return View(*first);
+  }
+
+  // Spur off every node of the last route found but its last.
+  const Stored prev = found_.back();
+  for (size_t i = 0; i + 1 < prev.size; ++i) {
+    banned_arcs_.clear();
+    const auto root = Nodes(prev).first(i + 1);
+    for (const Stored& r : found_) {
+      if (r.size > i + 1 && std::ranges::equal(Nodes(r).first(i + 1), root)) {
+        banned_arcs_.push_back(arcs_[r.begin + i]);
+      }
+    }
+    const std::optional<Stored> total = Spur(root.back(), prev.begin, i);
+    if (!total) continue;
+    if (Known(Nodes(*total))) {
+      nodes_.resize(total->begin);
+      arcs_.resize(total->begin);
+      continue;
+    }
+    candidates_.push_back(*total);
+  }
+  if (candidates_.empty()) {
+    done_ = true;
+    return std::nullopt;
+  }
+  // Shortest candidate; equal lengths go to the lexicographically smaller
+  // node sequence. Node sequences are unique, so the order is total.
+  const auto best = std::ranges::min_element(
+      candidates_, [&](const Stored& a, const Stored& b) {
+        if (a.length != b.length) return a.length < b.length;
+        return std::ranges::lexicographical_compare(Nodes(a), Nodes(b));
+      });
+  found_.push_back(*best);
+  *best = candidates_.back();
+  candidates_.pop_back();
+  return View(found_.back());
+}
+
+std::optional<Path> ShortestPath(const Graph& g, NodeId src, NodeId dst) {
+  std::vector<Path> paths = KShortestPaths(g, src, dst, 1);
+  if (paths.empty()) return std::nullopt;
+  return std::move(paths.front());
+}
+
+std::vector<Path> KShortestPaths(const Graph& g, NodeId src, NodeId dst,
+                                 int k) {
+  return KShortestPaths(ToCsr(g), src, dst, k);
+}
+
+std::vector<Path> KShortestPaths(const Csr& csr, NodeId src, NodeId dst,
+                                 int k) {
+  std::vector<Path> out;
+  if (k <= 0) return out;
+  YenSearch search(csr, src, dst);
+  while (static_cast<int>(out.size()) < k) {
+    const std::optional<YenSearch::Route> r = search.Next();
+    if (!r) break;
+    Path& p = out.emplace_back();
+    p.nodes.assign(r->nodes.begin(), r->nodes.end());
+    p.edges.reserve(r->arcs.size());
+    for (int a : r->arcs) p.edges.push_back(csr.edge[a]);
+    p.length = r->length;
+  }
+  return out;
 }
 
 namespace {

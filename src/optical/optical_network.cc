@@ -73,10 +73,19 @@ class OpticalNetwork::FiberRouteTable {
 
   explicit FiberRouteTable(int num_sites)
       : n_(static_cast<size_t>(num_sites)) {}
-  ~FiberRouteTable() { delete slots_.load(std::memory_order_relaxed); }
+  ~FiberRouteTable() {
+    delete slots_.load(std::memory_order_relaxed);
+    delete arcs_.load(std::memory_order_relaxed);
+  }
   FiberRouteTable(const FiberRouteTable&) = delete;
   FiberRouteTable& operator=(const FiberRouteTable&) = delete;
 
+  // The live fiber arcs, after publishing make() if they are not there
+  // yet. Not a fill: the arcs are no route.
+  template <typename Make>
+  const net::Csr& Arcs(const Make& make) {
+    return LoadOrPublish(arcs_, make);
+  }
   std::atomic<const net::SpTree*>& Tree(net::NodeId u) {
     return Get().trees.slots[Index(u)];
   }
@@ -102,6 +111,7 @@ class OpticalNetwork::FiberRouteTable {
 
   size_t n_;
   std::atomic<Slots*> slots_{nullptr};
+  std::atomic<const net::Csr*> arcs_{nullptr};
 };
 
 // Stamp 0 is reserved for "never stamped"; fresh constructions start at 1.
@@ -312,11 +322,19 @@ double OpticalNetwork::FiberDistanceKm(net::NodeId u, net::NodeId v) const {
   return FiberTree(u).dist[v];
 }
 
-const net::SpTree& OpticalNetwork::FiberTree(net::NodeId u) const {
-  return Fill(fiber_routes_->Tree(u), [&] {
-    return net::Dijkstra(fiber_graph_, u,
-                         [this](net::EdgeId e) { return !FiberDead(e); });
+const net::Csr& OpticalNetwork::LiveFiberArcs() const {
+  return fiber_routes_->Arcs([&] {
+    net::DeadMask dead(static_cast<size_t>(NumFibers()));
+    for (net::EdgeId e = 0; e < NumFibers(); ++e) {
+      dead[static_cast<size_t>(e)] = FiberDead(e);
+    }
+    return std::make_unique<const net::Csr>(net::ToCsr(fiber_graph_, &dead));
   });
+}
+
+const net::SpTree& OpticalNetwork::FiberTree(net::NodeId u) const {
+  return Fill(fiber_routes_->Tree(u),
+              [&] { return net::Dijkstra(LiveFiberArcs(), u); });
 }
 
 const std::vector<ReachPeer>& OpticalNetwork::ReachPeers(net::NodeId u) const {
@@ -335,14 +353,13 @@ const std::vector<ReachPeer>& OpticalNetwork::ReachPeers(net::NodeId u) const {
 const std::vector<net::Path>& OpticalNetwork::SegmentRoutes(
     net::NodeId a, net::NodeId b) const {
   return Fill(fiber_routes_->Route(a, b), [&] {
-    return net::KShortestPaths(
-        fiber_graph_, a, b, kMaxFiberPathsPerSegment,
-        [this](net::EdgeId e) { return !FiberDead(e); });
+    return net::KShortestPaths(LiveFiberArcs(), a, b,
+                               kMaxFiberPathsPerSegment);
   });
 }
 
 std::optional<Circuit> OpticalNetwork::RealizeSequence(
-    const std::vector<net::NodeId>& seq) const {
+    std::span<const net::NodeId> seq) const {
   Circuit c;
   c.src = seq.front();
   c.dst = seq.back();
@@ -429,12 +446,12 @@ std::optional<CircuitId> OpticalNetwork::ProvisionCircuit(net::NodeId src,
   // later candidates could only tie.
   const double ceiling =
       std::min(wavelength_capacity_, CapacityForSnrGbps(kInf, qot_));
-  RegenGraph::Search search(rg);
+  net::YenSearch search(rg.arcs(), src, dst);
   std::optional<Circuit> best;
   for (int tried = 0; tried < kMaxSequences; ++tried) {
-    const std::vector<net::NodeId>* seq = search.Next();
-    if (seq == nullptr) break;
-    auto circuit = RealizeSequence(*seq);
+    const std::optional<net::YenSearch::Route> route = search.Next();
+    if (!route) break;
+    auto circuit = RealizeSequence(route->nodes);
     if (!circuit) continue;
     if (!qot_.enabled) {
       Commit(*circuit);

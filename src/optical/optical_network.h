@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -278,7 +279,7 @@ class OpticalNetwork {
   // Tries to realise the given site sequence as a circuit; returns nullopt
   // if some segment lacks fiber path, reach, or a common free wavelength.
   std::optional<Circuit> RealizeSequence(
-      const std::vector<net::NodeId>& sites) const;
+      std::span<const net::NodeId> sites) const;
 
   // Candidate fiber routes for one circuit segment a->b (the k-shortest
   // loopless paths over non-failed fibers), from the table like FiberTree:
@@ -286,6 +287,11 @@ class OpticalNetwork {
   // occupancy merely decides which of them gets used.
   const std::vector<net::Path>& SegmentRoutes(net::NodeId a,
                                               net::NodeId b) const;
+
+  // The fiber graph's arcs without its dead fibers' (FiberDead), which
+  // FiberTree and SegmentRoutes search: published in the fiber-route table
+  // once per table.
+  const net::Csr& LiveFiberArcs() const;
 
   // Gives this network an empty fiber-route table; copies keep theirs.
   // Called by every mutator of the table's key (see FiberTree).

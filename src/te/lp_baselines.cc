@@ -13,6 +13,8 @@ constexpr double kEps = 1e-7;
 // SWAN's fairness-approximation rounds (each round is one LP solve; 4
 // captures nearly all of the fairness at a quarter of the cost).
 constexpr int kMaxFairnessRounds = 4;
+// Candidate paths per site pair: the k shortest over the fixed topology.
+constexpr int kPathsPerPair = 3;
 }
 
 std::vector<lp::Commodity> LpTeBase::ToCommodities(
@@ -118,7 +120,7 @@ core::TeOutput MaxFlowTe::Compute(const core::TeInput& input) {
   const Aggregated agg = Aggregate(input.demands, caps);
 
   lp::McfBuilder mcf(g, ToCommodities(agg.pair_demands, agg.pair_targets),
-                     options_.k_paths);
+                     kPathsPerPair);
   mcf.ObjectiveMaxThroughput();
   const lp::LpSolution sol = lp::Solve(mcf.lp());
   out.allocations =
@@ -136,13 +138,14 @@ namespace {
 // subject to everyone keeping fraction t (Tempus' byte-maximization step).
 core::TeOutput MaxMinThenThroughput(
     const net::Graph& g, const std::vector<core::TransferDemand>& demands,
-    const std::vector<double>& targets, int k_paths, bool cap_at_fraction) {
+    const std::vector<double>& targets, bool cap_at_fraction) {
   core::TeOutput out;
 
   // Phase 1: maximize t with sum(rates_i) >= t * target_i.
   double t_star = 0.0;
   {
-    lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, targets), k_paths);
+    lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, targets),
+                       kPathsPerPair);
     lp::LpProblem& p = mcf.lp();
     const int t_var = p.AddVariable(0.0, 1.0, 1.0);
     p.SetMaximize(true);
@@ -172,7 +175,8 @@ core::TeOutput MaxMinThenThroughput(
       caps[i] = cap_at_fraction ? targets[i]
                                 : std::max(targets[i], demands[i].rate_cap);
     }
-    lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, caps), k_paths);
+    lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, caps),
+                       kPathsPerPair);
     lp::LpProblem& p = mcf.lp();
     for (int i = 0; i < mcf.NumCommodities(); ++i) {
       if (mcf.PathsFor(i).empty()) continue;
@@ -208,7 +212,7 @@ core::TeOutput MaxMinFractTe::Compute(const core::TeInput& input) {
   const Aggregated agg = Aggregate(input.demands, targets);
   core::TeOutput pair_out =
       MaxMinThenThroughput(g, agg.pair_demands, agg.pair_targets,
-                           options_.k_paths, /*cap_at_fraction=*/true);
+                           /*cap_at_fraction=*/true);
   core::TeOutput out;
   out.allocations = Expand(agg, pair_out.allocations, input.demands);
   return out;
@@ -235,7 +239,7 @@ core::TeOutput TempusTe::Compute(const core::TeInput& input) {
   const Aggregated agg = Aggregate(input.demands, targets);
   core::TeOutput pair_out =
       MaxMinThenThroughput(g, agg.pair_demands, agg.pair_targets,
-                           options_.k_paths, /*cap_at_fraction=*/false);
+                           /*cap_at_fraction=*/false);
   core::TeOutput out;
   out.allocations = Expand(agg, pair_out.allocations, input.demands);
   return out;
@@ -269,7 +273,7 @@ core::TeOutput SwanTe::Compute(const core::TeInput& input) {
     if (!any_unfrozen) break;
 
     lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, caps),
-                       options_.k_paths);
+                       kPathsPerPair);
     lp::LpProblem& p = mcf.lp();
     const int t_var = p.AddVariable(0.0, 1.0, 1.0);
     p.SetMaximize(true);
@@ -353,7 +357,7 @@ core::TeOutput SwanTe::Compute(const core::TeInput& input) {
 
   // Final throughput maximization with fair shares as lower bounds.
   lp::McfBuilder mcf(g, LpTeBase::ToCommodities(demands, caps),
-                     options_.k_paths);
+                     kPathsPerPair);
   lp::LpProblem& p = mcf.lp();
   for (size_t i = 0; i < n; ++i) {
     if (mcf.PathsFor(static_cast<int>(i)).empty()) continue;

@@ -9,17 +9,11 @@
 
 namespace owan::te {
 
-struct LpTeOptions {
-  int k_paths = 3;
-};
-
 // Shared machinery for the network-layer-only LP baselines: builds the
 // path-based MCF over the *fixed* topology and converts solutions into
 // per-transfer allocations.
 class LpTeBase : public core::TeScheme {
  public:
-  explicit LpTeBase(LpTeOptions options) : options_(options) {}
-
   // Demands -> commodities with the given per-transfer rate ceilings.
   static std::vector<lp::Commodity> ToCommodities(
       const std::vector<core::TransferDemand>& demands,
@@ -47,15 +41,11 @@ class LpTeBase : public core::TeScheme {
       const Aggregated& agg,
       const std::vector<core::TransferAllocation>& pair_allocs,
       const std::vector<core::TransferDemand>& demands);
-
- protected:
-  LpTeOptions options_;
 };
 
 // "MaxFlow" baseline (§5.1): per slot, maximize total throughput.
 class MaxFlowTe : public LpTeBase {
  public:
-  explicit MaxFlowTe(LpTeOptions options = {}) : LpTeBase(options) {}
   std::string name() const override { return "MaxFlow"; }
   core::TeOutput Compute(const core::TeInput& input) override;
 };
@@ -64,7 +54,6 @@ class MaxFlowTe : public LpTeBase {
 // maximize throughput subject to that fraction.
 class MaxMinFractTe : public LpTeBase {
  public:
-  explicit MaxMinFractTe(LpTeOptions options = {}) : LpTeBase(options) {}
   std::string name() const override { return "MaxMinFract"; }
   core::TeOutput Compute(const core::TeInput& input) override;
 };
@@ -73,7 +62,6 @@ class MaxMinFractTe : public LpTeBase {
 // then throughput maximization (Hong et al., SIGCOMM'13).
 class SwanTe : public LpTeBase {
  public:
-  explicit SwanTe(LpTeOptions options = {}) : LpTeBase(options) {}
   std::string name() const override { return "SWAN"; }
   core::TeOutput Compute(const core::TeInput& input) override;
 };
@@ -84,7 +72,6 @@ class SwanTe : public LpTeBase {
 // all-slots LP in Kandula et al., SIGCOMM'14; see DESIGN.md.)
 class TempusTe : public LpTeBase {
  public:
-  explicit TempusTe(LpTeOptions options = {}) : LpTeBase(options) {}
   std::string name() const override { return "Tempus"; }
   core::TeOutput Compute(const core::TeInput& input) override;
 };

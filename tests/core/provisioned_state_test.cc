@@ -96,19 +96,6 @@ TEST(ProvisionedStateTest, CopyIsIndependent) {
   EXPECT_TRUE(a.optical().CheckInvariants());
 }
 
-TEST(ProvisionedStateTest, FiberFailureShrinksRealized) {
-  topo::Wan wan = topo::MakeInternet2();
-  ProvisionedState s(wan.optical);
-  s.SyncTo(wan.default_topology);
-  const int before_units = s.realized().TotalUnits();
-  auto lost = s.HandleFiberFailure(0);
-  int lost_units = 0;
-  for (const Link& l : lost) lost_units += l.units;
-  EXPECT_GT(lost_units, 0);
-  EXPECT_EQ(s.realized().TotalUnits(), before_units - lost_units);
-  EXPECT_TRUE(s.optical().CheckInvariants());
-}
-
 TEST(ProvisionedStateTest, CapacityGraphMatchesRealized) {
   topo::Wan wan = topo::MakeInternet2();
   ProvisionedState s(wan.optical);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "util/rng.h"
@@ -21,7 +24,7 @@ Graph Square() {
 
 TEST(DijkstraTest, DistancesOnSquare) {
   Graph g = Square();
-  SpTree t = Dijkstra(g, 0);
+  SpTree t = Dijkstra(ToCsr(g), 0);
   EXPECT_DOUBLE_EQ(t.dist[0], 0.0);
   EXPECT_DOUBLE_EQ(t.dist[1], 1.0);
   EXPECT_DOUBLE_EQ(t.dist[2], 1.0);
@@ -42,7 +45,7 @@ TEST(DijkstraTest, WeightedPreference) {
 TEST(DijkstraTest, UnreachableIsInf) {
   Graph g(3);
   g.AddEdge(0, 1);
-  SpTree t = Dijkstra(g, 0);
+  SpTree t = Dijkstra(ToCsr(g), 0);
   EXPECT_FALSE(t.Reachable(2));
   EXPECT_TRUE(t.Extract(2).empty());
 }
@@ -50,13 +53,14 @@ TEST(DijkstraTest, UnreachableIsInf) {
 TEST(DijkstraTest, FilterExcludesEdges) {
   Graph g = Square();
   // Block 0-1: path to 1 must go around.
-  SpTree t = Dijkstra(g, 0, [](EdgeId e) { return e != 0; });
+  const DeadMask dead = {1, 0, 0, 0};
+  SpTree t = Dijkstra(ToCsr(g, &dead), 0);
   EXPECT_DOUBLE_EQ(t.dist[1], 3.0);
 }
 
 TEST(DijkstraTest, ExtractReturnsEdgeIds) {
   Graph g = Square();
-  SpTree t = Dijkstra(g, 0);
+  SpTree t = Dijkstra(ToCsr(g), 0);
   Path p = t.Extract(3);
   ASSERT_EQ(p.edges.size(), 2u);
   ASSERT_EQ(p.nodes.size(), 3u);
@@ -186,6 +190,128 @@ TEST(PathsUpToHopsTest, MaxPathsCap) {
   }
   auto paths = PathsUpToHops(g, 0, 6, 5, 10);
   EXPECT_EQ(paths.size(), 10u);
+}
+
+// FNV-1a over the little-endian bytes of each value.
+class Digest {
+ public:
+  void U64(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      acc_ = (acc_ ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
+    }
+  }
+  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
+  void F64(double d) { U64(std::bit_cast<uint64_t>(d)); }
+  uint64_t value() const { return acc_; }
+
+ private:
+  uint64_t acc_ = 14695981039346656037ULL;
+};
+
+void DigestPaths(const std::vector<Path>& paths, Digest& d) {
+  d.U64(paths.size());
+  for (const Path& p : paths) {
+    d.U64(p.nodes.size());
+    for (NodeId v : p.nodes) d.I64(v);
+    for (EdgeId e : p.edges) d.I64(e);
+    d.F64(p.length);
+  }
+}
+
+void DigestTree(const SpTree& t, Digest& d) {
+  for (size_t v = 0; v < t.dist.size(); ++v) {
+    d.F64(t.dist[v]);
+    d.I64(t.parent[v]);
+    d.I64(t.parent_edge[v]);
+  }
+}
+
+struct MaskedGraph {
+  Graph g;
+  DeadMask dead;
+};
+
+// 4-15 nodes and n to 3n edges between random distinct endpoints, so
+// parallel edges are common; integer weights 1-4, so equal-length routes
+// are common; about one edge in ten dead.
+MaskedGraph RandomMultigraph(util::Rng& rng) {
+  const int n = rng.UniformInt(4, 15);
+  MaskedGraph m{Graph(n), {}};
+  const int edges = n + rng.UniformInt(0, 2 * n);
+  for (int i = 0; i < edges; ++i) {
+    const int u = rng.UniformInt(0, n - 1);
+    int v = rng.UniformInt(0, n - 2);
+    if (v >= u) ++v;
+    m.g.AddEdge(u, v, static_cast<double>(rng.UniformInt(1, 4)));
+    m.dead.push_back(rng.UniformInt(0, 9) == 0 ? 1 : 0);
+  }
+  return m;
+}
+
+// Every tie-break of the search, pinned: k = 8 routes for every ordered
+// pair with and without the dead edges, and every full Dijkstra tree with
+// and without them. The value was taken from the std::set Yen with
+// std::function edge filters that the search replaced.
+TEST(YenSearchTest, MatchesGoldenOnRandomMultigraphs) {
+  util::Rng rng(2026);
+  Digest d;
+  for (int trial = 0; trial < 200; ++trial) {
+    const MaskedGraph m = RandomMultigraph(rng);
+    const Csr all = ToCsr(m.g);
+    const Csr live = ToCsr(m.g, &m.dead);
+    for (NodeId s = 0; s < m.g.NumNodes(); ++s) {
+      DigestTree(Dijkstra(all, s), d);
+      DigestTree(Dijkstra(live, s), d);
+      for (NodeId t = 0; t < m.g.NumNodes(); ++t) {
+        DigestPaths(KShortestPaths(m.g, s, t, 8), d);
+        DigestPaths(KShortestPaths(live, s, t, 8), d);
+      }
+    }
+  }
+  EXPECT_EQ(d.value(), 0xe2b30b67e9c436c0ULL)
+      << std::hex << "digest 0x" << d.value();
+}
+
+// The search is lazy: however far it is driven, its first j routes are
+// KShortestPaths(..., j), and each route runs along live arcs that join
+// its nodes.
+TEST(YenSearchTest, LazyRoutesArePrefixesOfKShortestPaths) {
+  util::Rng rng(31);
+  for (int trial = 0; trial < 40; ++trial) {
+    const MaskedGraph m = RandomMultigraph(rng);
+    const Csr csr = ToCsr(m.g, &m.dead);
+    for (NodeId s = 0; s < m.g.NumNodes(); ++s) {
+      for (NodeId t = 0; t < m.g.NumNodes(); ++t) {
+        YenSearch search(csr, s, t);
+        std::vector<Path> lazy;
+        while (lazy.size() < 10) {
+          const std::optional<YenSearch::Route> r = search.Next();
+          if (!r) break;
+          Path& p = lazy.emplace_back();
+          p.nodes.assign(r->nodes.begin(), r->nodes.end());
+          ASSERT_EQ(r->arcs.size() + 1, r->nodes.size());
+          for (size_t i = 0; i < r->arcs.size(); ++i) {
+            const int a = r->arcs[i];
+            EXPECT_GE(a, csr.begin[r->nodes[i]]);
+            EXPECT_LT(a, csr.begin[r->nodes[i] + 1]);
+            EXPECT_EQ(csr.head[a], r->nodes[i + 1]);
+            EXPECT_FALSE(m.dead[csr.edge[a]]);
+            p.edges.push_back(csr.edge[a]);
+          }
+          p.length = r->length;
+        }
+        for (int j = 0; j <= 10; ++j) {
+          const auto first_j = KShortestPaths(csr, s, t, j);
+          ASSERT_EQ(first_j.size(), std::min<size_t>(j, lazy.size()));
+          for (size_t i = 0; i < first_j.size(); ++i) {
+            EXPECT_EQ(first_j[i].nodes, lazy[i].nodes) << s << "->" << t;
+            EXPECT_EQ(first_j[i].edges, lazy[i].edges) << s << "->" << t;
+            EXPECT_EQ(first_j[i].length, lazy[i].length) << s << "->" << t;
+          }
+        }
+      }
+    }
+  }
 }
 
 // TwoShortestPathsByHops promises the exact output of KShortestPaths(k=2)

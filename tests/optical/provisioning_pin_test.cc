@@ -188,10 +188,10 @@ TEST(ProvisioningPinTest, LazySearchYieldsCandidatesInOrder) {
       const auto [u, v] = pairs[i];
       const RegenGraph rg(on, u, v, on.balance_regens());
       const auto eight = rg.CandidateSequences(8);
-      RegenGraph::Search search(rg);
+      net::YenSearch search(rg.arcs(), u, v);
       std::vector<std::vector<net::NodeId>> lazy;
-      while (const std::vector<net::NodeId>* seq = search.Next()) {
-        lazy.push_back(*seq);
+      while (const std::optional<net::YenSearch::Route> route = search.Next()) {
+        lazy.emplace_back(route->nodes.begin(), route->nodes.end());
         if (lazy.size() == 12) break;
       }
       ASSERT_GE(lazy.size(), eight.size()) << u << "->" << v;
