@@ -1,13 +1,11 @@
 // Ablations of the optical-layer design choices called out in DESIGN.md:
-//   (1) wavelength-assignment policy (first-fit / most-used / least-used)
-//       under circuit churn with scarce wavelengths;
-//   (2) regenerator balancing (inverse-remaining node weights, Fig. 5) vs
+//   (1) regenerator balancing (inverse-remaining node weights, Fig. 5) vs
 //       ignoring remaining counts;
-//   (3) boolean reach vs QoT-graded capacity: what the hard-reach model
+//   (2) boolean reach vs QoT-graded capacity: what the hard-reach model
 //       promises vs what distance-adaptive modulation actually delivers.
-// Metric for (1)/(2): blocking rate — the fraction of circuit requests
-// that could not be provisioned. For (3): installed Gbps and routed
-// throughput on the same plant geometry and demand set.
+// Metric for (1): circuits packed before provisioning blocks. For (2):
+// installed Gbps and routed throughput on the same plant geometry and
+// demand set.
 #include <cstdio>
 
 #include "core/provisioned_state.h"
@@ -21,7 +19,7 @@ namespace {
 
 // Packing fill: provision random circuits (with light churn) until 25
 // consecutive requests block; returns how many circuits are live at that
-// point — a direct measure of how well the policy packs the plant.
+// point — a direct measure of how well provisioning packs the plant.
 int FillCapacity(optical::OpticalNetwork on, uint64_t seed) {
   util::Rng rng(seed);
   std::vector<optical::CircuitId> live;
@@ -52,29 +50,6 @@ int FillCapacity(optical::OpticalNetwork on, uint64_t seed) {
 
 int main(int argc, char** argv) {
   bench::InitJsonFromArgs(argc, argv);
-  bench::PrintHeader("Ablation — wavelength assignment policy");
-  {
-    // Scarce wavelengths stress continuity: 4 lambdas per fiber.
-    topo::WanParams p;
-    p.wavelengths_per_fiber = 4;
-    p.wavelength_gbps = 100.0;
-    const char* names[] = {"first-fit", "most-used", "least-used"};
-    const optical::WavelengthPolicy policies[] = {
-        optical::WavelengthPolicy::kFirstFit,
-        optical::WavelengthPolicy::kMostUsed,
-        optical::WavelengthPolicy::kLeastUsed};
-    for (int pi = 0; pi < 3; ++pi) {
-      double total = 0.0;
-      for (uint64_t seed = 1; seed <= 8; ++seed) {
-        topo::Wan wan = topo::MakeIspBackbone(7, 40, p);
-        wan.optical.set_wavelength_policy(policies[pi]);
-        total += FillCapacity(wan.optical, seed);
-      }
-      std::printf("  %-10s circuits packed before blocking: %.1f\n",
-                  names[pi], total / 8.0);
-    }
-  }
-
   bench::PrintHeader("Ablation — regenerator balancing (Fig. 5 weights)");
   {
     // Make regenerators the scarce resource: tight reach, few regens.

@@ -1,7 +1,6 @@
 #include "core/annealing.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -80,25 +79,35 @@ std::optional<Topology> ComputeNeighbor(const Topology& s, util::Rng& rng,
 
 namespace {
 
-// Outcome of one annealing chain, before the adoption guard. Carries the
-// chain-start snapshot so the caller can apply the guard with the right
-// baseline (the chain's own start for the classic single-chain path; the
-// current topology for multi-chain selection).
-struct ChainResult {
-  Topology best_topology;
-  double best_energy = 0.0;
+// A point of the search: a topology with its realization, allocation and
+// scores.
+struct Snapshot {
+  Topology topology;
+  double energy = 0.0;
   std::optional<ProvisionedState> state;
   RoutingOutcome routing;
+  int starved_served = 0;
+};
+
+// Outcome of one annealing chain, before the adoption guard: where it
+// started and the best state it saw.
+struct ChainResult {
+  Snapshot start;
+  Snapshot best;
+  int best_dist = 0;  // best.topology.DistanceTo(current)
   int iterations = 0;
   int accepted = 0;
-  int best_dist = 0;
-  int best_starved = 0;
+};
 
-  Topology start_topology;
-  double start_energy = 0.0;
-  std::optional<ProvisionedState> start_state;
-  RoutingOutcome start_routing;
-  int start_starved = 0;
+// What every chain of one search reads.
+struct Search {
+  const Topology& current;
+  const optical::OpticalNetwork& blank_optical;
+  const std::vector<TransferDemand>& demands;
+  const AnnealOptions& options;
+  std::vector<int> port_budget;
+  std::vector<size_t> starved;  // indices past the starvation threshold
+  util::ThreadPool* pool = nullptr;
 };
 
 int StarvedServed(const std::vector<size_t>& starved,
@@ -110,52 +119,62 @@ int StarvedServed(const std::vector<size_t>& starved,
   return n;
 }
 
-// Wall-clock compute budget (AnnealOptions::time_budget_s). Unset = no
-// deadline; the clock is only ever consulted when a budget was requested,
-// so default runs stay bit-reproducible.
-using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+// The order on states: serve starved transfers first (§3.2), then
+// throughput beyond a 1e-9 band, then proximity to the current topology
+// (so updates stay incremental). True when a state with these scores beats
+// the chain's best.
+bool Beats(int starved_served, double energy, int dist,
+           const ChainResult& than) {
+  const Snapshot& b = than.best;
+  return starved_served > b.starved_served ||
+         (starved_served == b.starved_served &&
+          (energy > b.energy + 1e-9 ||
+           (energy > b.energy - 1e-9 && dist < than.best_dist)));
+}
 
-bool Expired(const Deadline& d) {
-  return d.has_value() && std::chrono::steady_clock::now() >= *d;
+// `t` realized on a fresh copy of the blank plant and routed: a pure
+// function of (plant, topology, demands).
+Snapshot Realize(const Search& s, const Topology& t) {
+  Snapshot out;
+  out.topology = t;
+  ProvisionedState st{s.blank_optical};
+  st.SyncTo(t);
+  out.routing = AssignRoutesAndRates(st.CapacityGraph(), s.demands,
+                                     s.options.routing);
+  out.energy = out.routing.throughput;
+  out.starved_served = StarvedServed(s.starved, out.routing);
+  out.state = std::move(st);
+  return out;
 }
 
 // Random neighbor moves that shuffle a cold start (warm_start = false); the
 // perturbed chains of a multi-chain search take up to as many.
 constexpr int kColdStartMoves = 64;
 
-// Serial chain (batch_size <= 1): the classic one-neighbor Metropolis walk,
+// Serial walk (batch_size <= 1): the classic one-neighbor Metropolis walk,
 // evaluated through the chain's EnergyEvaluator. The evaluator mutates one
 // ProvisionedState in place (rolling back rejected moves exactly), reuses
 // cached per-pair path sets across iterations, and short-circuits revisited
 // topologies through its transposition table — while producing bit-for-bit
 // the energies, RNG stream, and best-state snapshots of the old
-// copy-everything loop (the PR 1 golden tests pin this).
-ChainResult RunChainSerial(const Topology& current, Topology start,
-                           const optical::OpticalNetwork& blank_optical,
-                           const std::vector<TransferDemand>& demands,
-                           const AnnealOptions& options,
-                           const std::vector<int>& port_budget,
-                           util::Rng& rng,
-                           const std::vector<size_t>& starved,
-                           EnergyEvaluator& eval, const Deadline& deadline) {
+// copy-everything loop (tests/core/annealing_parallel_test.cc pins this).
+ChainResult WalkSerial(const Search& s, Topology start, util::Rng& rng,
+                       EnergyEvaluator& eval) {
+  const AnnealOptions& options = s.options;
   const EnergyEvaluator::Stats stats_before = eval.stats();
   const EnergyEvaluator::Eval base =
-      eval.Reset(blank_optical, start, demands, starved, options.routing,
-                 /*reuse_state=*/true);
+      eval.Reset(s.blank_optical, start, s.demands, s.starved,
+                 options.routing, /*reuse_state=*/true);
   double cur_energy = base.energy;
 
   ChainResult out;
-  out.start_topology = start;
-  out.start_energy = cur_energy;
-  out.start_state = eval.state();
-  out.start_routing = eval.EnsureRouting();
-  out.start_starved = base.starved_served;
-  out.best_topology = start;
-  out.best_energy = cur_energy;
-  out.state = out.start_state;
-  out.routing = out.start_routing;
-  out.best_dist = start.DistanceTo(current);
-  out.best_starved = out.start_starved;
+  out.start.topology = start;
+  out.start.energy = cur_energy;
+  out.start.state = eval.state();
+  out.start.routing = eval.EnsureRouting();
+  out.start.starved_served = base.starved_served;
+  out.best = out.start;
+  out.best_dist = start.DistanceTo(s.current);
 
   Topology cur_topo = std::move(start);
 
@@ -166,10 +185,9 @@ ChainResult RunChainSerial(const Topology& current, Topology start,
   const double floor = t0 * options.epsilon_ratio;
 
   int iters = 0;
-  while (temperature > floor && iters < options.max_iterations &&
-         !Expired(deadline)) {
+  while (temperature > floor && iters < options.max_iterations) {
     ++iters;
-    auto neighbor = ComputeNeighbor(cur_topo, rng, &port_budget);
+    auto neighbor = ComputeNeighbor(cur_topo, rng, &s.port_budget);
     if (!neighbor) break;
 
     EnergyEvaluator::Eval ev;
@@ -179,24 +197,18 @@ ChainResult RunChainSerial(const Topology& current, Topology start,
     }
     const double nb_energy = ev.energy;
 
-    // Track the best state lexicographically: serve starved transfers
-    // first, then throughput, then proximity to the current topology (so
-    // updates stay incremental). A memo hit can only land in here through
-    // the 1e-9 energy band, in which case EnsureRouting re-runs the
-    // allocator for the snapshot.
-    const int dist = neighbor->DistanceTo(current);
-    const bool better =
-        ev.starved_served > out.best_starved ||
-        (ev.starved_served == out.best_starved &&
-         (nb_energy > out.best_energy + 1e-9 ||
-          (nb_energy > out.best_energy - 1e-9 && dist < out.best_dist)));
-    if (better) {
-      out.best_topology = *neighbor;
-      out.best_energy = nb_energy;
-      out.state = eval.state();
-      out.routing = eval.TakeRouting();
+    // A memo hit can only become the best through the 1e-9 energy band, in
+    // which case TakeRouting re-runs the allocator for the snapshot. The
+    // snapshot is assigned member by member, so the best state reuses its
+    // buffers.
+    const int dist = neighbor->DistanceTo(s.current);
+    if (Beats(ev.starved_served, nb_energy, dist, out)) {
+      out.best.topology = *neighbor;
+      out.best.energy = nb_energy;
+      out.best.state = eval.state();
+      out.best.routing = eval.TakeRouting();
+      out.best.starved_served = ev.starved_served;
       out.best_dist = dist;
-      out.best_starved = ev.starved_served;
     }
 
     // Accept uphill always; downhill with Boltzmann probability.
@@ -238,41 +250,24 @@ ChainResult RunChainSerial(const Topology& current, Topology start,
   return out;
 }
 
-// Batched chain (batch_size = B > 1): each temperature step draws up to B
+// Batched walk (batch_size = B > 1): each temperature step draws up to B
 // candidate neighbors serially from the chain's RNG, evaluates them
-// concurrently on `pool` (per-candidate state copies — candidates fork from
-// the same current state, so in-place evaluation cannot be shared), and
-// applies the Metropolis rule to the best of the batch. The RNG is only
+// concurrently on the pool (per-candidate state copies — candidates fork
+// from the same current state, so in-place evaluation cannot be shared),
+// and applies the Metropolis rule to the best of the batch. The RNG is only
 // ever touched on the chain's own thread, so results are independent of
 // scheduling.
-ChainResult RunChainBatched(const Topology& current, Topology start,
-                            const optical::OpticalNetwork& blank_optical,
-                            const std::vector<TransferDemand>& demands,
-                            const AnnealOptions& options,
-                            const std::vector<int>& port_budget,
-                            util::Rng& rng,
-                            const std::vector<size_t>& starved,
-                            util::ThreadPool* pool, const Deadline& deadline) {
-  ProvisionedState cur_state{blank_optical};
-  cur_state.SyncTo(start);
-  RoutingOutcome cur_routing = AssignRoutesAndRates(
-      cur_state.CapacityGraph(), demands, options.routing);
-  double cur_energy = cur_routing.throughput;
-
+ChainResult WalkBatched(const Search& s, Topology start, util::Rng& rng) {
+  const AnnealOptions& options = s.options;
   ChainResult out;
-  out.start_topology = start;
-  out.start_energy = cur_energy;
-  out.start_state = cur_state;
-  out.start_routing = cur_routing;
-  out.start_starved = StarvedServed(starved, cur_routing);
-  out.best_topology = start;
-  out.best_energy = cur_energy;
-  out.state = cur_state;
-  out.routing = cur_routing;
-  out.best_dist = start.DistanceTo(current);
-  out.best_starved = out.start_starved;
+  out.start = Realize(s, start);
+  out.best = out.start;
+  out.best_dist = start.DistanceTo(s.current);
 
   Topology cur_topo = std::move(start);
+  ProvisionedState cur_state = *out.start.state;
+  RoutingOutcome cur_routing = out.start.routing;
+  double cur_energy = out.start.energy;
 
   const double t0 = cur_energy > 0.0 ? cur_energy : 1.0;
   double temperature = t0;
@@ -288,8 +283,7 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
   routings.reserve(static_cast<size_t>(batch));
 
   int iters = 0;
-  while (temperature > floor && iters < options.max_iterations &&
-         !Expired(deadline)) {
+  while (temperature > floor && iters < options.max_iterations) {
     // Draw up to `batch` candidates serially (every draw spends one
     // iteration of the budget), evaluate them concurrently.
     cand.clear();
@@ -297,7 +291,7 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
     while (static_cast<int>(cand.size()) < batch &&
            iters < options.max_iterations && temperature > floor) {
       ++iters;
-      auto neighbor = ComputeNeighbor(cur_topo, rng, &port_budget);
+      auto neighbor = ComputeNeighbor(cur_topo, rng, &s.port_budget);
       if (!neighbor) {
         exhausted = true;
         break;
@@ -308,11 +302,11 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
 
     states.assign(cand.size(), std::nullopt);
     routings.assign(cand.size(), RoutingOutcome{});
-    util::ParallelFor(pool, static_cast<int>(cand.size()), [&](int i) {
+    util::ParallelFor(s.pool, static_cast<int>(cand.size()), [&](int i) {
       const size_t k = static_cast<size_t>(i);
       ProvisionedState st = cur_state;
       st.SyncTo(cand[k]);
-      routings[k] = AssignRoutesAndRates(st.CapacityGraph(), demands,
+      routings[k] = AssignRoutesAndRates(st.CapacityGraph(), s.demands,
                                          options.routing);
       states[k] = std::move(st);
     });
@@ -325,17 +319,12 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
     int best_idx = -1;
     for (size_t i = 0; i < cand.size(); ++i) {
       const double energy = routings[i].throughput;
-      const int dist = cand[i].DistanceTo(current);
-      const int served = StarvedServed(starved, routings[i]);
-      const bool better =
-          served > out.best_starved ||
-          (served == out.best_starved &&
-           (energy > out.best_energy + 1e-9 ||
-            (energy > out.best_energy - 1e-9 && dist < out.best_dist)));
-      if (better) {
-        out.best_energy = energy;
+      const int dist = cand[i].DistanceTo(s.current);
+      const int served = StarvedServed(s.starved, routings[i]);
+      if (Beats(served, energy, dist, out)) {
+        out.best.energy = energy;
+        out.best.starved_served = served;
         out.best_dist = dist;
-        out.best_starved = served;
         best_idx = static_cast<int>(i);
       }
       if (routings[i].throughput > routings[pick].throughput + 1e-12) {
@@ -350,13 +339,13 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
     }
     if (best_idx >= 0) {
       const size_t b = static_cast<size_t>(best_idx);
-      out.best_topology = cand[b];
+      out.best.topology = cand[b];
       if (accept && pick == b) {
-        out.state = *states[b];
-        out.routing = routings[b];
+        out.best.state = *states[b];
+        out.best.routing = routings[b];
       } else {
-        out.state = std::move(*states[b]);
-        out.routing = std::move(routings[b]);
+        out.best.state = std::move(*states[b]);
+        out.best.routing = std::move(routings[b]);
       }
     }
     if (accept) {
@@ -378,114 +367,29 @@ ChainResult RunChainBatched(const Topology& current, Topology start,
   return out;
 }
 
-// One annealing chain (Algorithm 1 minus the adoption guard). With
-// batch_size <= 1 this consumes the RNG stream in exactly the pre-parallel
-// order, so chain 0 of a multi-chain run — and the whole of a default run —
-// is bit-for-bit the classic search.
-ChainResult RunChain(const Topology& current,
-                     const optical::OpticalNetwork& blank_optical,
-                     const std::vector<TransferDemand>& demands,
-                     const AnnealOptions& options,
-                     const std::vector<int>& port_budget,
-                     const std::vector<size_t>& starved, int perturb_moves,
-                     util::Rng& rng, util::ThreadPool* pool,
-                     EnergyEvaluator& eval, const Deadline& deadline,
-                     const Topology* start_override = nullptr) {
-  Topology start = start_override != nullptr ? *start_override : current;
+// One annealing chain (Algorithm 1 minus the adoption guard): shuffle
+// `start` by `perturb_moves` random moves, walk from there, and report the
+// chain under a "core"/"anneal.chain" span and the global iteration and
+// acceptance counters. A serial chain on the caller's stream is bit-for-bit
+// the classic search.
+ChainResult RunChain(const Search& s, int chain, Topology start,
+                     int perturb_moves, util::Rng& rng,
+                     EnergyEvaluator& eval) {
+  OWAN_SPAN(chain_span, "core", "anneal.chain");
   for (int i = 0; i < perturb_moves; ++i) {
-    auto t = ComputeNeighbor(start, rng, &port_budget);
+    auto t = ComputeNeighbor(start, rng, &s.port_budget);
     if (t) start = std::move(*t);
   }
-  if (std::max(1, options.batch_size) == 1) {
-    return RunChainSerial(current, std::move(start), blank_optical, demands,
-                          options, port_budget, rng, starved, eval, deadline);
-  }
-  return RunChainBatched(current, std::move(start), blank_optical, demands,
-                         options, port_budget, rng, starved, pool, deadline);
-}
-
-// RunChain plus the per-chain telemetry every caller wants: a
-// "core"/"anneal.chain" span carrying the chain's index, iteration and
-// acceptance counts, plus the global iteration/acceptance counters.
-ChainResult RunChainTraced(int chain, const Topology& current,
-                           const optical::OpticalNetwork& blank_optical,
-                           const std::vector<TransferDemand>& demands,
-                           const AnnealOptions& options,
-                           const std::vector<int>& port_budget,
-                           const std::vector<size_t>& starved,
-                           int perturb_moves, util::Rng& rng,
-                           util::ThreadPool* pool, EnergyEvaluator& eval,
-                           const Deadline& deadline,
-                           const Topology* start_override = nullptr) {
-  OWAN_SPAN(chain_span, "core", "anneal.chain");
-  ChainResult cr =
-      RunChain(current, blank_optical, demands, options, port_budget, starved,
-               perturb_moves, rng, pool, eval, deadline, start_override);
+  ChainResult cr = std::max(1, s.options.batch_size) == 1
+                       ? WalkSerial(s, std::move(start), rng, eval)
+                       : WalkBatched(s, std::move(start), rng);
   chain_span.AddArg("chain", chain);
   chain_span.AddArg("iterations", cr.iterations);
   chain_span.AddArg("accepted", cr.accepted);
-  chain_span.AddArg("best_energy", cr.best_energy);
+  chain_span.AddArg("best_energy", cr.best.energy);
   OWAN_COUNT_N("anneal.iterations", ::owan::obs::Unit::kOps, cr.iterations);
   OWAN_COUNT_N("anneal.accepted", ::owan::obs::Unit::kOps, cr.accepted);
   return cr;
-}
-
-// Marginal improvements do not justify taking circuits dark: stick with
-// the baseline unless the win clears the adoption threshold — EXCEPT when
-// the candidate rescues a starved transfer the baseline cannot serve at
-// all (the §3.2 starvation guard must be able to force a reconfiguration,
-// not just reorder transfers).
-AnnealResult ApplyAdoptionGuard(ChainResult&& cr, const Topology& current,
-                                const optical::OpticalNetwork& blank_optical,
-                                const std::vector<TransferDemand>& demands,
-                                const AnnealOptions& options,
-                                const Topology& base_topology,
-                                double base_energy,
-                                std::optional<ProvisionedState>&& base_state,
-                                RoutingOutcome&& base_routing,
-                                int base_starved, int total_iterations,
-                                int total_accepted) {
-  AnnealResult best;
-  // The walk's own verdict survives even when the guard keeps the baseline:
-  // callers feed it back as the next slot's warm hint.
-  best.searched_best = cr.best_topology;
-  best.searched_energy = cr.best_energy;
-  best.searched_starved = cr.best_starved;
-  const bool rescues_starved = cr.best_starved > base_starved;
-  if (!rescues_starved &&
-      cr.best_energy < base_energy * (1.0 + kMinAdoptGain) + 1e-9) {
-    best.best_topology = base_topology;
-    best.best_energy = base_energy;
-    best.state = std::move(base_state);
-    best.routing = std::move(base_routing);
-  } else {
-    OWAN_COUNT("anneal.adoptions");
-    best.best_topology = std::move(cr.best_topology);
-    best.best_energy = cr.best_energy;
-    best.state = std::move(cr.state);
-    best.routing = std::move(cr.routing);
-  }
-  best.iterations = total_iterations;
-  best.accepted = total_accepted;
-  // Under QoT the walk's state is history-dependent: incremental SyncTo
-  // steps can realize different circuits (hence different per-link
-  // capacities) than a cold derivation of the same topology. Canonicalize
-  // the adopted output by re-realizing from a blank plant, so the installed
-  // allocation is a pure function of (plant, topology, demands) — the same
-  // derivation checkpoint restore and the invariant checker reproduce.
-  // Legacy capacities depend only on unit counts, so this is QoT-only.
-  if (blank_optical.qot().enabled) {
-    ProvisionedState fresh{blank_optical};
-    fresh.SyncTo(best.best_topology);
-    best.routing =
-        AssignRoutesAndRates(fresh.CapacityGraph(), demands, options.routing);
-    best.best_energy = best.routing.throughput;
-    best.state = std::move(fresh);
-  }
-  best.circuit_changes = best.best_topology.DistanceTo(current);
-  OWAN_HISTO("anneal.circuit_changes", ::owan::obs::Unit::kOps,
-             best.circuit_changes);
-  return best;
 }
 
 }  // namespace
@@ -504,26 +408,19 @@ AnnealResult ComputeNetworkState(const Topology& current,
   OWAN_SPAN(anneal_span, "core", "anneal");
   anneal_span.AddArg("num_chains", std::max(1, options.num_chains));
   OWAN_COUNT("anneal.runs");
-  Deadline deadline;
-  if (options.time_budget_s > 0.0) {
-    deadline = std::chrono::steady_clock::now() +
-               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                   std::chrono::duration<double>(options.time_budget_s));
-  }
+
+  Search s{current, blank_optical, demands, options, {}, {}, pool};
   // Port budgets come from the surviving plant: transceiver failures and
   // site outages shrink what the search may wire up (§3.4).
-  std::vector<int> port_budget;
-  port_budget.reserve(static_cast<size_t>(blank_optical.NumSites()));
+  s.port_budget.reserve(static_cast<size_t>(blank_optical.NumSites()));
   for (int v = 0; v < blank_optical.NumSites(); ++v) {
-    port_budget.push_back(blank_optical.UsablePorts(v));
+    s.port_budget.push_back(blank_optical.UsablePorts(v));
   }
-
-  // Indices of transfers past the starvation threshold: the search treats
-  // serving them as lexicographically more important than raw throughput.
-  std::vector<size_t> starved;
+  // Transfers past the starvation threshold: the search treats serving
+  // them as lexicographically more important than raw throughput.
   for (size_t i = 0; i < demands.size(); ++i) {
     if (demands[i].slots_waited >= options.routing.policy.starvation_slots) {
-      starved.push_back(i);
+      s.starved.push_back(i);
     }
   }
 
@@ -537,7 +434,7 @@ AnnealResult ComputeNetworkState(const Topology& current,
   if (pool == nullptr && num_threads > 1 &&
       (num_chains > 1 || options.batch_size > 1)) {
     local_pool = std::make_unique<util::ThreadPool>(num_threads - 1);
-    pool = local_pool.get();
+    s.pool = local_pool.get();
   }
 
   // Chains evaluate through per-chain EnergyEvaluators. A caller-supplied
@@ -548,35 +445,13 @@ AnnealResult ComputeNetworkState(const Topology& current,
   AnnealScratch& scr = scratch ? *scratch : local_scratch;
   scr.Reserve(num_chains);
 
-  if (num_chains == 1) {
-    // Classic single-chain path: identical RNG stream and adoption guard
-    // (relative to the chain's own — possibly cold — start) as the
-    // pre-parallel implementation.
-    ChainResult cr = RunChainTraced(
-        0, current, blank_optical, demands, options, port_budget, starved,
-        options.warm_start ? 0 : kColdStartMoves, rng, pool,
-        scr.ForChain(0), deadline);
-    const int iters = cr.iterations;
-    const int accepted = cr.accepted;
-    Topology base_topology = cr.start_topology;
-    double base_energy = cr.start_energy;
-    std::optional<ProvisionedState> base_state = std::move(cr.start_state);
-    RoutingOutcome base_routing = std::move(cr.start_routing);
-    const int base_starved = cr.start_starved;
-    return ApplyAdoptionGuard(std::move(cr), current, blank_optical, demands,
-                              options, base_topology, base_energy,
-                              std::move(base_state), std::move(base_routing),
-                              base_starved, iters, accepted);
-  }
-
-  // Multi-chain: chain 0 replays the caller's RNG stream from a copy (so
-  // the multi-chain best dominates the single-chain result on the same
-  // seed); the caller's rng advances once per extra chain, which keeps
-  // repeated invocations with the same seed exactly reproducible.
-  std::vector<util::Rng> chain_rngs;
-  chain_rngs.reserve(static_cast<size_t>(num_chains));
-  chain_rngs.push_back(rng);
-  for (int c = 1; c < num_chains; ++c) chain_rngs.push_back(rng.Fork());
+  // Chain 0 replays the caller's stream, so a multi-chain best dominates
+  // the lone chain on the same seed: a lone chain walks on the caller's
+  // generator itself, and with more chains chain 0 walks on a copy taken
+  // before the forks while the caller's generator advances once per extra
+  // chain (so repeated invocations with the same seed reproduce exactly).
+  std::vector<util::Rng> rngs(1, rng);
+  for (int c = 1; c < num_chains; ++c) rngs.push_back(rng.Fork());
 
   // Chain 0 honors warm_start; later chains explore from progressively
   // stronger perturbations of the current topology (capped at the cold
@@ -584,84 +459,82 @@ AnnealResult ComputeNetworkState(const Topology& current,
   // fits the current plant (site count and per-site port budgets), chain 1
   // starts from it unperturbed instead — temporal coherence makes the
   // previous slot's searched best a stronger opening than a random shake.
-  std::vector<int> perturb(static_cast<size_t>(num_chains), 0);
-  perturb[0] = options.warm_start ? 0 : kColdStartMoves;
-  for (int c = 1; c < num_chains; ++c) {
-    perturb[static_cast<size_t>(c)] =
-        std::min(kColdStartMoves, 4 * c);
-  }
-  const Topology* hint_start = nullptr;
-  if (warm_hint != nullptr && warm_hint->NumSites() == current.NumSites()) {
-    bool fits = true;
-    for (net::NodeId v = 0; v < warm_hint->NumSites(); ++v) {
-      if (warm_hint->PortsUsed(v) > port_budget[static_cast<size_t>(v)]) {
-        fits = false;
-        break;
-      }
-    }
-    if (fits) {
-      hint_start = warm_hint;
-      perturb[1] = 0;
-    }
+  bool hint_fits =
+      warm_hint != nullptr && warm_hint->NumSites() == current.NumSites();
+  for (net::NodeId v = 0; hint_fits && v < warm_hint->NumSites(); ++v) {
+    hint_fits =
+        warm_hint->PortsUsed(v) <= s.port_budget[static_cast<size_t>(v)];
   }
 
-  std::vector<std::optional<ChainResult>> results(
-      static_cast<size_t>(num_chains));
-  util::ParallelFor(pool, num_chains, [&](int c) {
+  std::vector<ChainResult> results(static_cast<size_t>(num_chains));
+  util::ParallelFor(s.pool, num_chains, [&](int c) {
     const size_t k = static_cast<size_t>(c);
-    results[k] = RunChainTraced(c, current, blank_optical, demands, options,
-                                port_budget, starved, perturb[k],
-                                chain_rngs[k], pool, scr.ForChain(c),
-                                deadline,
-                                c == 1 ? hint_start : nullptr);
+    const bool hinted = c == 1 && hint_fits;
+    const int moves = c == 0 ? (options.warm_start ? 0 : kColdStartMoves)
+                      : hinted ? 0
+                               : std::min(kColdStartMoves, 4 * c);
+    results[k] = RunChain(s, c, hinted ? *warm_hint : current, moves,
+                          num_chains == 1 ? rng : rngs[k], scr.ForChain(c));
   });
 
-  // The adoption guard for multi-chain selection is always measured
-  // against the *current* topology: perturbed chains have meaningless
-  // start energies of their own.
-  Topology base_topology = current;
-  double base_energy;
-  std::optional<ProvisionedState> base_state;
-  RoutingOutcome base_routing;
-  int base_starved;
-  if (options.warm_start) {
-    base_energy = results[0]->start_energy;
-    base_state = std::move(results[0]->start_state);
-    base_routing = std::move(results[0]->start_routing);
-    base_starved = results[0]->start_starved;
-  } else {
-    ProvisionedState s{blank_optical};
-    s.SyncTo(current);
-    base_routing =
-        AssignRoutesAndRates(s.CapacityGraph(), demands, options.routing);
-    base_energy = base_routing.throughput;
-    base_starved = StarvedServed(starved, base_routing);
-    base_state = std::move(s);
-  }
+  // The adoption baseline is chain 0's start: the current topology on a
+  // warm start, and a lone cold chain's own shuffled start. A cold
+  // multi-chain search measures against a blank realization of the current
+  // topology instead, since its perturbed chains have meaningless start
+  // energies of their own.
+  Snapshot base = options.warm_start || num_chains == 1
+                      ? std::move(results[0].start)
+                      : Realize(s, current);
 
+  // Chain 0 stands unless a later chain strictly beats it.
   int pick = 0;
-  int total_iterations = 0;
-  int total_accepted = 0;
+  AnnealResult result;
   for (int c = 0; c < num_chains; ++c) {
-    const ChainResult& a = *results[static_cast<size_t>(c)];
-    total_iterations += a.iterations;
-    total_accepted += a.accepted;
-    if (c == 0) continue;
-    const ChainResult& b = *results[static_cast<size_t>(pick)];
-    const bool better =
-        a.best_starved > b.best_starved ||
-        (a.best_starved == b.best_starved &&
-         (a.best_energy > b.best_energy + 1e-9 ||
-          (a.best_energy > b.best_energy - 1e-9 &&
-           a.best_dist < b.best_dist)));
-    if (better) pick = c;
+    const ChainResult& a = results[static_cast<size_t>(c)];
+    result.iterations += a.iterations;
+    result.accepted += a.accepted;
+    if (c > 0 && Beats(a.best.starved_served, a.best.energy, a.best_dist,
+                       results[static_cast<size_t>(pick)])) {
+      pick = c;
+    }
   }
+  Snapshot& found = results[static_cast<size_t>(pick)].best;
 
-  return ApplyAdoptionGuard(std::move(*results[static_cast<size_t>(pick)]),
-                            current, blank_optical, demands, options,
-                            base_topology, base_energy, std::move(base_state),
-                            std::move(base_routing), base_starved,
-                            total_iterations, total_accepted);
+  // The walk's own verdict survives even when the guard keeps the baseline:
+  // callers feed it back as the next slot's warm hint.
+  result.searched_best = found.topology;
+  result.searched_energy = found.energy;
+  result.searched_starved = found.starved_served;
+  // Marginal improvements do not justify taking circuits dark: stick with
+  // the baseline unless the win clears the adoption threshold — EXCEPT when
+  // the candidate rescues a starved transfer the baseline cannot serve at
+  // all (the §3.2 starvation guard must be able to force a reconfiguration,
+  // not just reorder transfers).
+  const bool keep = found.starved_served <= base.starved_served &&
+                    found.energy < base.energy * (1.0 + kMinAdoptGain) + 1e-9;
+  if (!keep) OWAN_COUNT("anneal.adoptions");
+  Snapshot& adopted = keep ? base : found;
+  result.best_topology = std::move(adopted.topology);
+  result.best_energy = adopted.energy;
+  result.state = std::move(adopted.state);
+  result.routing = std::move(adopted.routing);
+  // Under QoT the walk's state is history-dependent: incremental SyncTo
+  // steps can realize different circuits (hence different per-link
+  // capacities) than a cold derivation of the same topology. Canonicalize
+  // the adopted output by re-realizing from a blank plant, so the installed
+  // allocation is a pure function of (plant, topology, demands) — the same
+  // derivation checkpoint restore and the invariant checker reproduce.
+  // Legacy capacities depend only on unit counts, so this is QoT-only.
+  if (blank_optical.qot().enabled) {
+    Snapshot fresh = Realize(s, result.best_topology);
+    result.best_energy = fresh.energy;
+    result.state = std::move(fresh.state);
+    result.routing = std::move(fresh.routing);
+  }
+  result.circuit_changes = result.best_topology.DistanceTo(current);
+  OWAN_HISTO("anneal.circuit_changes", ::owan::obs::Unit::kOps,
+             result.circuit_changes);
+  return result;
 }
 
 }  // namespace owan::core

@@ -47,13 +47,6 @@ struct AnnealOptions {
   // Paper default: start from the current topology. false = cold start from
   // a randomly shuffled topology (ablation).
   bool warm_start = true;
-  // If > 0, a wall-clock budget (seconds) for the whole search: chains stop
-  // drawing candidates once it expires and the best state found so far
-  // stands. With a warm start an expired budget degrades to the current
-  // topology — the controller's graceful-degradation path under failures
-  // (OwanTe then falls back to routing-only control for the slot). 0 = off;
-  // the default search is never clock-dependent.
-  double time_budget_s = 0.0;
 
   // ---- Parallel search (all default off: the defaults reproduce the
   // paper's single-chain search bit-for-bit, same RNG stream and all) ----

@@ -162,9 +162,6 @@ net::EdgeId OpticalNetwork::AddFiber(net::NodeId u, net::NodeId v,
   ResetFiberRoutes();
   fibers_.push_back(FiberInfo{length_km, num_wavelengths});
   lambda_used_.emplace_back(num_wavelengths, false);
-  if (static_cast<int>(lambda_usage_.size()) < num_wavelengths) {
-    lambda_usage_.resize(static_cast<size_t>(num_wavelengths), 0);
-  }
   fiber_failed_.push_back(false);
   fiber_degrade_db_.push_back(0.0);
   if (qot_.enabled) fiber_inv_osnr_.push_back(FiberNoise(id));
@@ -269,26 +266,6 @@ int OpticalNetwork::FreeWavelengths(net::EdgeId fiber) const {
   return free;
 }
 
-bool OpticalNetwork::TriesBefore(int a, int b) const {
-  if (lambda_policy_ != WavelengthPolicy::kFirstFit) {
-    const int ua = lambda_usage_[static_cast<size_t>(a)];
-    const int ub = lambda_usage_[static_cast<size_t>(b)];
-    if (ua != ub) {
-      return lambda_policy_ == WavelengthPolicy::kMostUsed ? ua > ub
-                                                           : ua < ub;
-    }
-  }
-  return a < b;
-}
-
-std::vector<int> OpticalNetwork::WavelengthOrder(int grid) const {
-  std::vector<int> order(static_cast<size_t>(grid));
-  for (int i = 0; i < grid; ++i) order[static_cast<size_t>(i)] = i;
-  std::sort(order.begin(), order.end(),
-            [this](int a, int b) { return TriesBefore(a, b); });
-  return order;
-}
-
 int OpticalNetwork::PickWavelength(const std::vector<net::EdgeId>& fibers,
                                    const Bookings& booked) const {
   int grid = fibers_[fibers.front()].num_wavelengths;
@@ -307,15 +284,10 @@ int OpticalNetwork::PickWavelength(const std::vector<net::EdgeId>& fibers,
     }
     return true;
   };
-  // The free wavelength that comes first in WavelengthOrder(grid).
-  int best = -1;
   for (int lambda = 0; lambda < grid; ++lambda) {
-    if (best >= 0 && !TriesBefore(lambda, best)) continue;
-    if (!free(lambda)) continue;
-    best = lambda;
-    if (lambda_policy_ == WavelengthPolicy::kFirstFit) break;
+    if (free(lambda)) return lambda;
   }
-  return best;
+  return -1;
 }
 
 double OpticalNetwork::FiberDistanceKm(net::NodeId u, net::NodeId v) const {
@@ -417,7 +389,6 @@ void OpticalNetwork::Commit(Circuit& c) {
   for (const Segment& s : c.segments) {
     for (net::EdgeId f : s.fibers) {
       lambda_used_[f][s.wavelength] = true;
-      ++lambda_usage_[static_cast<size_t>(s.wavelength)];
     }
   }
   for (net::NodeId r : c.regen_sites) {
@@ -480,7 +451,6 @@ void OpticalNetwork::ReleaseCircuit(CircuitId id) {
   for (const Segment& s : c.segments) {
     for (net::EdgeId f : s.fibers) {
       lambda_used_[f][s.wavelength] = false;
-      --lambda_usage_[static_cast<size_t>(s.wavelength)];
     }
   }
   for (net::NodeId r : c.regen_sites) ++regens_free_[r];
@@ -502,7 +472,6 @@ void OpticalNetwork::RestoreCircuit(const Circuit& c) {
   for (const Segment& s : c.segments) {
     for (net::EdgeId f : s.fibers) {
       lambda_used_[f][s.wavelength] = true;
-      ++lambda_usage_[static_cast<size_t>(s.wavelength)];
     }
   }
   for (net::NodeId r : c.regen_sites) --regens_free_[r];
@@ -591,16 +560,6 @@ bool OpticalNetwork::CheckInvariants(std::string* error) const {
       return fail("wavelength occupancy bitmap out of sync on fiber " +
                   std::to_string(f));
     }
-  }
-  // Global per-wavelength usage counters must match occupancy.
-  std::vector<int> usage(lambda_usage_.size(), 0);
-  for (size_t f = 0; f < lam.size(); ++f) {
-    for (size_t l = 0; l < lam[f].size(); ++l) {
-      if (lam[f][l]) ++usage[l];
-    }
-  }
-  if (usage != lambda_usage_) {
-    return fail("wavelength usage counters out of sync");
   }
   for (size_t v = 0; v < sites_.size(); ++v) {
     if (regens_free_[v] + regen_used[v] + regens_failed_[v] !=

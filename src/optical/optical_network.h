@@ -41,12 +41,6 @@ struct ReachPeer {
   double km = 0.0;  // shortest live fiber distance
 };
 
-// How a circuit picks among the wavelengths free along its segment.
-// kFirstFit is the classic default; kMostUsed packs popular wavelengths to
-// fight fragmentation (better for long-haul continuity); kLeastUsed spreads
-// load (fewer collisions on short-lived circuits).
-enum class WavelengthPolicy { kFirstFit, kMostUsed, kLeastUsed };
-
 // The optical layer: ROADM sites connected by fibers, plus the dynamic
 // resource state (which wavelengths each fiber carries, how many
 // regenerators each site has left) and the set of provisioned circuits.
@@ -109,12 +103,6 @@ class OpticalNetwork {
   }
   bool AnyFiberDegraded() const;
 
-  WavelengthPolicy wavelength_policy() const { return lambda_policy_; }
-  void set_wavelength_policy(WavelengthPolicy p) {
-    lambda_policy_ = p;
-    BumpStamp();
-  }
-
   // Regenerator-balancing ablation: when disabled, circuit search ignores
   // how many regens a site has left (DESIGN.md §4).
   bool balance_regens() const { return balance_regens_; }
@@ -133,10 +121,6 @@ class OpticalNetwork {
   // Equal state does NOT imply equal stamps — this is an identity token,
   // not a content hash.
   uint64_t state_stamp() const { return state_stamp_; }
-
-  // Wavelength indices 0..grid-1 in the order the current policy tries
-  // them (ties broken by index for determinism).
-  std::vector<int> WavelengthOrder(int grid) const;
 
   // ---- dynamic resource state ----
 
@@ -262,12 +246,9 @@ class OpticalNetwork {
   // what the noise cache holds, computed afresh.
   double FiberNoise(net::EdgeId fiber) const;
 
-  // Whether the policy tries wavelength a before b (WavelengthOrder).
-  bool TriesBefore(int a, int b) const;
-
-  // The first wavelength in WavelengthOrder that is free on every fiber of
-  // `fibers` (within the smallest grid among them) and not in `booked` on
-  // any of them, or -1.
+  // The lowest-indexed wavelength (first fit) that is free on every fiber
+  // of `fibers` (within the smallest grid among them) and not in `booked`
+  // on any of them, or -1.
   int PickWavelength(const std::vector<net::EdgeId>& fibers,
                      const Bookings& booked) const;
 
@@ -319,8 +300,6 @@ class OpticalNetwork {
   std::vector<double> fiber_inv_osnr_;
 
   std::vector<std::vector<bool>> lambda_used_;  // [fiber][wavelength]
-  std::vector<int> lambda_usage_;  // global per-index usage (policy input)
-  WavelengthPolicy lambda_policy_ = WavelengthPolicy::kFirstFit;
   bool balance_regens_ = true;
   std::vector<bool> fiber_failed_;
   std::vector<bool> site_failed_;

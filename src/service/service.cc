@@ -42,7 +42,6 @@ ServiceOptions PassthroughOptions(const sim::SimOptions& sim,
                                   bool retain_records) {
   ServiceOptions o;
   o.slot_seconds = sim.slot_seconds;
-  o.reconfig_penalty_s = sim.reconfig_penalty_s;
   o.max_time_s = sim.max_time_s;
   o.mode = ServiceMode::kPassthrough;
   o.retain_records = retain_records;
@@ -175,7 +174,6 @@ ControllerService::ControllerService(const topo::Wan* wan,
                                      ServiceOptions options)
     : ControllerService(wan, scheme.get(), options) {
   owned_scheme_ = std::move(scheme);
-  sim_.check_invariants = false;
 }
 
 ControllerService::ControllerService(const topo::Wan* wan,
@@ -186,6 +184,7 @@ ControllerService::ControllerService(const topo::Wan* wan,
   owned_scheme_ = std::move(scheme);
   sim_ = sim;
   sim_.faults.Normalize();
+  invariant_checks_ = true;
 }
 
 ControllerService::ControllerService(const topo::Wan* wan,
@@ -196,6 +195,7 @@ ControllerService::ControllerService(const topo::Wan* wan,
                         PassthroughOptions(sim, /*retain_records=*/false)) {
   sim_ = sim;
   sim_.faults.Normalize();
+  invariant_checks_ = true;
   batch_ = true;
   result_.transfers.resize(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -260,13 +260,11 @@ void ControllerService::FinalizeCompletion(int key, Record& rec) {
   Mix(fp_acc_, static_cast<uint64_t>(rec.request.id));
   Mix(fp_acc_, Bits(rec.completed_at));
   Mix(fp_acc_, Bits(rec.delivered));
-  if (options_.mode == ServiceMode::kOnline) {
-    // Online the booking and the frozen rates free up at once. Passthrough
-    // keeps the rates until the next recompute, so a pruning during a
-    // controller outage still counts them.
-    admission_.Release(rec.request.id, now_);
-    frozen_.erase(rec.request.id);
-  }
+  // The booking and the frozen rates free up at once, so a pruning during
+  // a controller outage scales only the transfers still running. The
+  // passthrough ledger holds no bookings.
+  admission_.Release(rec.request.id, now_);
+  frozen_.erase(key);
   if (batch_) result_.transfers[static_cast<size_t>(key)] = Outcome(rec);
   if (!options_.retain_records) records_.erase(key);
 }
@@ -602,7 +600,7 @@ bool ControllerService::Install(const core::TeInput& input, double dur,
   frozen_.clear();
   for (size_t i = 0;
        i < output.allocations.size() && i < input.demands.size(); ++i) {
-    frozen_[input.demands[i].id] = output.allocations[i];
+    frozen_[active_order_[i]] = output.allocations[i];
   }
   ++stats_.recomputes;
   OWAN_COUNT("service.recomputes");
@@ -666,10 +664,10 @@ void ControllerService::ProgressSlot() {
     // since then wait (online, their stall time is the price of staleness,
     // bounded by max_stale_slots).
     output.allocations.reserve(input.demands.size());
-    for (const core::TransferDemand& d : input.demands) {
-      auto it = frozen_.find(d.id);
+    for (size_t i = 0; i < input.demands.size(); ++i) {
+      auto it = frozen_.find(active_order_[i]);
       core::TransferAllocation a;
-      a.id = d.id;
+      a.id = input.demands[i].id;
       if (it != frozen_.end()) a = it->second;
       output.allocations.push_back(std::move(a));
     }
@@ -690,7 +688,7 @@ void ControllerService::ProgressSlot() {
   }
   last_slot_rate_ = slot_rate;
 
-  if (sim_.check_invariants) {
+  if (invariant_checks_) {
     AddViolations(fault::InvariantChecker::CheckSlot(
         topology_, plant(), input.demands, output.allocations));
   }
@@ -711,7 +709,7 @@ void ControllerService::ProgressSlot() {
                                        : kNoAllocation;
     const sim::SlotProgress p = sim::ProgressTransfer(
         rec.request, rec.remaining, alloc, changed, now_, dur,
-        options_.slot_seconds, options_.reconfig_penalty_s);
+        options_.slot_seconds, sim_.reconfig_penalty_s);
 
     if (rec.request.HasDeadline()) {
       rec.delivered_by_deadline += std::min(p.deadline_part, p.delivered);
@@ -725,7 +723,7 @@ void ControllerService::ProgressSlot() {
       result_.gigabits_lost_to_faults += lost;
       slot_lost += lost;
     }
-    if (sim_.check_invariants) {
+    if (invariant_checks_) {
       AddViolations(checker_.ObserveTransfer(rec.request.id, rec.delivered,
                                              rec.request.size));
     }

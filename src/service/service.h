@@ -40,7 +40,6 @@ struct ServiceOptions {
   // Finite and positive; the admission ledger's constructor throws
   // std::invalid_argument otherwise.
   double slot_seconds = 300.0;
-  double reconfig_penalty_s = 0.0;
   double max_time_s = 72.0 * 3600.0;
   ServiceMode mode = ServiceMode::kOnline;
 
@@ -117,20 +116,20 @@ class ControllerService {
                     std::unique_ptr<core::TeScheme> scheme,
                     ServiceOptions options = {});
   // A passthrough service fed by Submit() with the settings of a batch
-  // run: `sim` supplies the slot timing, the fault schedule, update
-  // execution (the actuation model, the crash hook) and invariant
-  // checks. For callers that interleave Submit, ReportFault and Checkpoint
-  // with Step.
+  // run: `sim` supplies the slot timing, the fault schedule and update
+  // execution (the actuation model, the crash hook), and every interval is
+  // checked against fault::InvariantChecker. For callers that interleave
+  // Submit, ReportFault and Checkpoint with Step.
   ControllerService(const topo::Wan* wan,
                     std::unique_ptr<core::TeScheme> scheme,
                     const sim::SimOptions& sim);
   // The batch simulator: passthrough mode driving the caller's scheme over
   // `requests` exactly as given (ids may repeat, arrivals need not be
   // sorted; a request is admitted once it and every request before it has
-  // arrived). `sim` supplies the slot timing plus the fault schedule,
-  // update execution and invariant-check settings, as above. `wan` must
-  // outlive the service; the plant is copied only when the first plant
-  // fault lands. Finished transfers go straight into the result
+  // arrived). `sim` supplies the slot timing plus the fault schedule and
+  // update execution settings, and intervals are checked, as above. `wan`
+  // must outlive the service; the plant is copied only when the first
+  // plant fault lands. Finished transfers go straight into the result
   // ToSimResult() returns.
   ControllerService(const topo::Wan* wan, core::TeScheme& scheme,
                     const std::vector<core::Request>& requests,
@@ -288,9 +287,12 @@ class ControllerService {
   std::unique_ptr<core::TeScheme> owned_scheme_;
   core::TeScheme* scheme_;
   ServiceOptions options_;
-  // Fault schedule, update execution and invariant checks; the slot timing
-  // lives in options_. Checks are off unless the batch constructor set them.
+  // Fault schedule, update execution and reconfiguration penalty; the slot
+  // timing lives in options_.
   sim::SimOptions sim_;
+  // Post-interval fault::InvariantChecker checks: on for the SimOptions
+  // constructors, off for the ServiceOptions one.
+  bool invariant_checks_ = false;
 
   core::Topology topology_;
   // The plant with faults applied: null (read wan_->optical) until the
@@ -316,7 +318,7 @@ class ControllerService {
   double now_ = 0.0;
   std::vector<int> active_order_;   // activation order — drives Compute
   std::deque<int> pending_;         // admission-pending, FIFO
-  // Last computed rates by request id: what the data plane keeps
+  // Last computed rates by record key: what the data plane keeps
   // forwarding between recomputes and while the controller is down.
   std::map<int, core::TransferAllocation> frozen_;
   std::vector<int> submission_order_;  // all keys ever seen (retain only)

@@ -32,10 +32,6 @@ struct SimOptions {
   // keeps forwarding at the last installed rates (minus whatever physical
   // failures kill), and recompute resumes at kControllerRecover.
   fault::FaultSchedule faults;
-  // Post-interval invariant checking (fault::InvariantChecker): violations
-  // are collected into SimResult::invariant_violations instead of
-  // asserting. Read-only; disable for timing-critical sweeps.
-  bool check_invariants = true;
   // Run each slot's reconfiguration through the update execution engine
   // (update::UpdateExecutor) instead of assuming it lands instantly: ops
   // draw latency/failure from `actuation`, retry with bounded backoff, and

@@ -258,7 +258,6 @@ std::optional<Failure> InvariantOracle(const FuzzCase& c,
   so.slot_seconds = options.slot_seconds;
   so.faults = c.faults;
   so.max_time_s = c.horizon_s + 12.0 * 3600.0;
-  so.check_invariants = true;
 
   core::OwanTe te(oo);
   const sim::SimResult a = sim::RunSimulation(wan, c.transfers, te, so);

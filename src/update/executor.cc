@@ -630,10 +630,6 @@ void UpdateExecutor::ApplyOpFailed(int op, double t) {
     case OpType::kAddRoute:
       break;  // never installed; cleanup gating keeps the old path
   }
-  if (options_.max_failed_ops >= 0 &&
-      stats_.failed_ops > options_.max_failed_ops) {
-    abort_requested_ = true;
-  }
 }
 
 void UpdateExecutor::ApplyOpCancelled(int op, double t) {

@@ -22,9 +22,6 @@ struct ExecutorOptions {
   fault::ActuationModel actuation;
   // Wavelength capacity (Gbps) for mid-update rate clamping + stage checks.
   double theta = 10.0;
-  // Safe-abort once more than this many ops permanently fail (< 0 = no
-  // cap; loss of all connectivity for a live transfer still aborts).
-  int max_failed_ops = -1;
 };
 
 struct ExecutorInput {

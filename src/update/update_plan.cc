@@ -9,6 +9,11 @@ namespace {
 
 using LinkKey = std::pair<net::NodeId, net::NodeId>;
 
+// Planned op durations: a router rule install, and a ROADM circuit
+// (re)provisioning (§5.4).
+constexpr double kRouteSeconds = 0.01;
+constexpr double kCircuitSeconds = 3.0;
+
 LinkKey Key(net::NodeId a, net::NodeId b) {
   return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
 }
@@ -41,8 +46,7 @@ std::string ToString(OpType t) {
 UpdatePlan BuildUpdatePlan(
     const core::Topology& from, const core::Topology& to,
     const std::vector<core::TransferAllocation>& old_routes,
-    const std::vector<core::TransferAllocation>& new_routes,
-    const UpdateDurations& durations) {
+    const std::vector<core::TransferAllocation>& new_routes) {
   UpdatePlan plan;
   auto add_op = [&plan](UpdateOp op) {
     op.id = static_cast<int>(plan.ops.size());
@@ -60,7 +64,7 @@ UpdatePlan BuildUpdatePlan(
       op.type = OpType::kRemoveCircuit;
       op.u = l.u;
       op.v = l.v;
-      op.duration_s = durations.circuit_s;
+      op.duration_s = kCircuitSeconds;
       remove_circuit_ops[Key(l.u, l.v)].push_back(add_op(op));
     }
   }
@@ -71,7 +75,7 @@ UpdatePlan BuildUpdatePlan(
       op.type = OpType::kAddCircuit;
       op.u = l.u;
       op.v = l.v;
-      op.duration_s = durations.circuit_s;
+      op.duration_s = kCircuitSeconds;
       add_circuit_ops[Key(l.u, l.v)].push_back(add_op(op));
     }
   }
@@ -92,7 +96,7 @@ UpdatePlan BuildUpdatePlan(
       op.type = OpType::kRemoveRoute;
       op.transfer_index = static_cast<int>(ti);
       op.path_index = static_cast<int>(pi);
-      op.duration_s = durations.route_s;
+      op.duration_s = kRouteSeconds;
       const int op_id = add_op(op);
       if (crosses_shrinking) {
         for (const LinkKey& lk : links) {
@@ -113,7 +117,7 @@ UpdatePlan BuildUpdatePlan(
       op.type = OpType::kAddRoute;
       op.transfer_index = static_cast<int>(ti);
       op.path_index = static_cast<int>(pi);
-      op.duration_s = durations.route_s;
+      op.duration_s = kRouteSeconds;
       for (const LinkKey& lk :
            PathLinks(new_routes[ti].paths[pi].path)) {
         auto it = add_circuit_ops.find(lk);

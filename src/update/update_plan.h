@@ -37,11 +37,6 @@ struct UpdateOp {
   std::vector<int> deps;
 };
 
-struct UpdateDurations {
-  double route_s = 0.01;     // router rule install
-  double circuit_s = 3.0;    // ROADM circuit (re)provisioning, §5.4
-};
-
 // The full plan for moving the network from state A to state B.
 struct UpdatePlan {
   std::vector<UpdateOp> ops;
@@ -64,11 +59,10 @@ struct UpdatePlan {
 // its links' new circuits are lit). Port contention (an added circuit needs
 // the router ports a removed circuit frees) is expressed by the scheduler's
 // per-site port ledger rather than explicit edges.
-UpdatePlan BuildUpdatePlan(const core::Topology& from,
-                           const core::Topology& to,
-                           const std::vector<core::TransferAllocation>& old_routes,
-                           const std::vector<core::TransferAllocation>& new_routes,
-                           const UpdateDurations& durations = {});
+UpdatePlan BuildUpdatePlan(
+    const core::Topology& from, const core::Topology& to,
+    const std::vector<core::TransferAllocation>& old_routes,
+    const std::vector<core::TransferAllocation>& new_routes);
 
 }  // namespace owan::update
 

@@ -115,7 +115,65 @@ TEST(AnnealParallelTest, MultiChainReproducibleAcrossInvocations) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.accepted, b.accepted);
   // Caller streams advanced identically too.
-  EXPECT_DOUBLE_EQ(rng1.Uniform(), rng2.Uniform());
+  const double next = rng1.Uniform();
+  EXPECT_DOUBLE_EQ(rng2.Uniform(), next);
+
+  // Golden values: chain 0 walks a copy of the caller's stream, the
+  // caller's generator forks once per extra chain, iterations and
+  // acceptances sum over the four chains, and the guard measures against
+  // the current topology (chain 0's warm start).
+  EXPECT_DOUBLE_EQ(a.best_energy, 80.0);
+  EXPECT_EQ(a.iterations, 800);
+  EXPECT_EQ(a.accepted, 284);
+  EXPECT_EQ(a.circuit_changes, 16);
+  EXPECT_EQ(TopologyHash(a.best_topology), 402790011245789203ULL);
+  EXPECT_DOUBLE_EQ(next, 0.01093470388725829);
+}
+
+// Cold starts differ in the adoption baseline: a lone chain measures its
+// best against its own shuffled start, a multi-chain search against a
+// blank realization of the current topology. With 10 G demands seed 1
+// shuffles into a start that serves all three transfers while the current
+// topology does not, so the two rules give different answers from the same
+// chain-0 walk.
+std::vector<TransferDemand> LightDemands() {
+  return {Demand(0, 0, 8, 10.0), Demand(1, 1, 5, 10.0),
+          Demand(2, 3, 7, 10.0)};
+}
+
+TEST(AnnealParallelTest, LoneColdChainGolden) {
+  // The best only ties the shuffled start, so the guard keeps the start.
+  topo::Wan wan = topo::MakeInternet2();
+  AnnealOptions opt = GoldenOptions();
+  opt.warm_start = false;
+  util::Rng rng(1);
+  AnnealResult res = ComputeNetworkState(wan.default_topology, wan.optical,
+                                         LightDemands(), opt, rng);
+  EXPECT_DOUBLE_EQ(res.best_energy, 30.0);
+  EXPECT_EQ(res.iterations, 200);
+  EXPECT_EQ(res.accepted, 144);
+  EXPECT_EQ(res.circuit_changes, 14);
+  EXPECT_EQ(TopologyHash(res.best_topology), 9965804479979827020ULL);
+  EXPECT_DOUBLE_EQ(rng.Uniform(), 0.87316773833330952);
+}
+
+TEST(AnnealParallelTest, FourColdChainsGolden) {
+  // Measured against the current topology, the best clears the threshold
+  // and is adopted.
+  topo::Wan wan = topo::MakeInternet2();
+  AnnealOptions opt = GoldenOptions();
+  opt.warm_start = false;
+  opt.num_chains = 4;
+  opt.num_threads = 4;
+  util::Rng rng(1);
+  AnnealResult res = ComputeNetworkState(wan.default_topology, wan.optical,
+                                         LightDemands(), opt, rng);
+  EXPECT_DOUBLE_EQ(res.best_energy, 30.0);
+  EXPECT_EQ(res.iterations, 800);
+  EXPECT_EQ(res.accepted, 583);
+  EXPECT_EQ(res.circuit_changes, 8);
+  EXPECT_EQ(TopologyHash(res.best_topology), 16914109320252546887ULL);
+  EXPECT_DOUBLE_EQ(rng.Uniform(), 0.021024228416727027);
 }
 
 TEST(AnnealParallelTest, MultiChainIndependentOfThreadCount) {

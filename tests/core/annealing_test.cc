@@ -208,22 +208,6 @@ TEST(AnnealTest, MoreIterationsNeverHurtEnergy) {
   }
 }
 
-TEST(AnnealTest, ExpiredTimeBudgetDegradesToStartTopology) {
-  // A compute budget that is already spent must still yield a usable
-  // result: the warm-start topology with greedy routing, zero iterations.
-  topo::Wan wan = topo::MakeInternet2();
-  std::vector<TransferDemand> demands = {Demand(0, 0, 8, 40.0)};
-  AnnealOptions opt;
-  opt.max_iterations = 500;
-  opt.time_budget_s = 1e-12;
-  util::Rng rng(41);
-  AnnealResult res = ComputeNetworkState(wan.default_topology, wan.optical,
-                                         demands, opt, rng);
-  EXPECT_EQ(res.iterations, 0);
-  EXPECT_GT(res.best_energy, 0.0);  // routing still ran on the start state
-  EXPECT_FALSE(res.routing.allocations.empty());
-}
-
 TEST(AnnealTest, RejectsTopologyPlantSiteCountMismatch) {
   topo::Wan wan = topo::MakeInternet2();
   Topology wrong(4);

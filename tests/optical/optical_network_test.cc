@@ -80,6 +80,18 @@ TEST(OpticalNetworkTest, WavelengthExhaustion) {
   EXPECT_TRUE(on.CheckInvariants());
 }
 
+TEST(OpticalNetworkTest, FirstFitPicksLowestIndex) {
+  std::vector<SiteInfo> sites = {{"A", 4, 0}, {"B", 4, 0}, {"C", 4, 0}};
+  OpticalNetwork on(std::move(sites), 2000.0, 10.0);
+  on.AddFiber(0, 1, 500.0, 4);
+  on.AddFiber(1, 2, 500.0, 4);
+  auto a = on.ProvisionCircuit(0, 1);
+  auto b = on.ProvisionCircuit(0, 1);
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(on.circuit(*a).segments[0].wavelength, 0);
+  EXPECT_EQ(on.circuit(*b).segments[0].wavelength, 1);
+}
+
 TEST(OpticalNetworkTest, ReleaseFreesResources) {
   OpticalNetwork on = MakeLine();
   auto id = on.ProvisionCircuit(0, 3);

@@ -107,8 +107,7 @@ uint64_t DigestCandidates(const OpticalNetwork& on) {
 // Three units from every site to the site halfway round and three to the
 // one eleven ids on: most need regenerators, wavelengths contend on shared
 // fibers, and many units fail for lack of regenerators. Unlike the default
-// topology, it makes the wavelength policies and regenerator balancing
-// change what gets realized.
+// topology, it makes regenerator balancing change what gets realized.
 core::Topology LongHaul(int n) {
   core::Topology t(n);
   for (net::NodeId u = 0; u < n; ++u) {
@@ -224,18 +223,6 @@ TEST(ProvisioningPinTest, BlankRealizationOfQotIsp40WithCutAndDegradation) {
   wan.optical.FailFiber(cut);
   wan.optical.DegradeFiber(degraded, 4.0);
   EXPECT_PINNED(DigestRealizations(wan, wan.optical), 0x70e40b7b06e5a709);
-}
-
-TEST(ProvisioningPinTest, BlankRealizationOfIsp40MostUsed) {
-  topo::Wan wan = topo::MakeByName("isp40");
-  wan.optical.set_wavelength_policy(WavelengthPolicy::kMostUsed);
-  EXPECT_PINNED(DigestRealizations(wan, wan.optical), 0x811bfd8dcdf60026);
-}
-
-TEST(ProvisioningPinTest, BlankRealizationOfIsp40LeastUsed) {
-  topo::Wan wan = topo::MakeByName("isp40");
-  wan.optical.set_wavelength_policy(WavelengthPolicy::kLeastUsed);
-  EXPECT_PINNED(DigestRealizations(wan, wan.optical), 0x7cef0645bd5d18f4);
 }
 
 // On the plant of the regenerator-balancing ablation: tight reach, so

@@ -287,9 +287,9 @@ TEST(SimResultDigest, CrashFreezesAndPrunesAllocations) {
 TEST(SimResultDigest, CrashPrunesRatesOfATransferThatFinished) {
   // Both transfers ride the two-wavelength link at 10 G each. The
   // controller goes down at 300 s and the short transfer finishes on frozen
-  // rates at 450 s. At 700 s a lost transceiver shrinks the link to one
-  // wavelength while nobody can recompute, so the data plane scales the
-  // frozen rates down to fit.
+  // rates at 450 s, dropping its frozen rates. At 700 s a lost transceiver
+  // shrinks the link to one wavelength while nobody can recompute; the
+  // long transfer alone still fits it.
   const topo::Wan wan = MakePair();
   const std::vector<core::Request> reqs = {Req(0, 0, 1, 4500.0, 0.0),
                                            Req(1, 0, 1, 60000.0, 0.0)};
@@ -300,7 +300,42 @@ TEST(SimResultDigest, CrashPrunesRatesOfATransferThatFinished) {
   DirectScheme te;
   const SimResult r = RunSimulation(wan, reqs, te, opt);
   EXPECT_DOUBLE_EQ(r.transfers[0].completed_at, 450.0);
-  EXPECT_DIGEST(r, 0xf8e9c91d7db77260);
+  // 10 G, not the 5 G that pruning against the finished transfer's rates
+  // would leave, from 700 s to the recovery.
+  int outage_slots = 0;
+  for (const auto& [start, gbps] : r.slot_throughput) {
+    if (start >= 700.0 && start < 1500.0) {
+      EXPECT_DOUBLE_EQ(gbps, 10.0) << "slot at " << start;
+      ++outage_slots;
+    }
+  }
+  EXPECT_GT(outage_slots, 0);
+  EXPECT_DOUBLE_EQ(r.transfers[1].completed_at, 6000.0);
+  EXPECT_DIGEST(r, 0x7459560fead06030);
+}
+
+TEST(SimResultDigest, RepeatedIdsCoastOnTheirOwnFrozenRates) {
+  // The batch simulator takes repeated ids. Two transfers sharing one, in
+  // opposite directions, each coast on their own frozen path through a
+  // controller outage, and the short one finishing at 450 s leaves the
+  // long one its 10 G.
+  const topo::Wan wan = MakePair();
+  const std::vector<core::Request> reqs = {Req(0, 0, 1, 4500.0, 0.0),
+                                           Req(0, 1, 0, 60000.0, 0.0)};
+  SimOptions opt;
+  opt.faults.Add(fault::FaultEvent::ControllerCrash(300.0));
+  opt.faults.Add(fault::FaultEvent::ControllerRecover(1500.0));
+  DirectScheme te;
+  const SimResult r = RunSimulation(wan, reqs, te, opt);
+  EXPECT_TRUE(r.invariant_violations.empty()) << r.invariant_violations[0];
+  EXPECT_DOUBLE_EQ(r.transfers[0].completed_at, 450.0);
+  for (const auto& [start, gbps] : r.slot_throughput) {
+    if (start >= 450.0 && start < 1500.0) {
+      EXPECT_DOUBLE_EQ(gbps, 10.0) << "slot at " << start;
+    }
+  }
+  EXPECT_DOUBLE_EQ(r.transfers[1].completed_at, 6000.0);
+  EXPECT_DIGEST(r, 0x7e8722db00c25cea);
 }
 
 TEST(SimResultDigest, SeededStochasticFaults) {

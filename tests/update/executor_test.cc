@@ -241,18 +241,6 @@ TEST(UpdateExecutorTest, AbortRestoresPreUpdatePlant) {
   EXPECT_EQ(res.log.records.back().kind, IntentKind::kAbortDone);
 }
 
-TEST(UpdateExecutorTest, MaxFailedOpsCapTriggersAbort) {
-  ExecutorOptions opts;
-  opts.actuation.seed = 5;
-  opts.actuation.circuit_failure_prob = 1.0;
-  opts.max_failed_ops = 0;  // first permanent failure aborts
-  ExecutorInput in = SquareInput();
-  ExecResult res = UpdateExecutor::ExecutePlan(in, opts);
-  EXPECT_EQ(res.outcome, ExecOutcome::kAborted);
-  EXPECT_TRUE(res.final_topology == in.from);
-  EXPECT_TRUE(res.final_routes == in.old_routes);
-}
-
 TEST(UpdateExecutorTest, RequestAbortRollsBack) {
   ExecutorInput in = SquareInput();
   UpdateExecutor ex(in, {});
